@@ -47,12 +47,12 @@ race:
 # property tests, qexec k-class batching under concurrent load), and the
 # observability layer (lock-free event ring, trace propagation across
 # HTTP backends during engine swaps, histogram snapshot merging), and the
-# latency-hiding kernel layer (RHS-interleaved batch multiply, the prefetch
-# knob, sticky first-touch pools, the STREAM probe), and the incremental
-# rebuild path (delta classification, Woodbury-corrected solves, drift
-# fallback) racing concurrent queries.
+# latency-hiding kernel layer (RHS-interleaved batch multiply, sticky
+# first-touch pools, the STREAM probe), and the incremental rebuild path
+# (delta classification, Woodbury-corrected solves, drift fallback) racing
+# concurrent queries.
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|Level|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Prefetch|Sticky|Stream|Delta|Woodbury|Drift' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|Level|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Sticky|Stream|Delta|Woodbury|Drift' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/
@@ -71,22 +71,19 @@ bench-par:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchurComplement|BenchmarkFactorBlockDiag' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkParallelMulVec -benchmem ./internal/sparse/
 
-# Smoke-run the bandwidth-lean kernel benchmarks — fused Schur operator,
-# level-scheduled ILU sweeps, compact CSR32 SpMV — at a fixed small
-# iteration count so CI catches kernel regressions (compile errors, panics,
-# gross slowdowns) without paying for a full benchmark run.
+# Smoke-run the bandwidth-lean kernel benchmarks — level-scheduled ILU
+# sweeps, compact CSR32 SpMV — at a fixed small iteration count so CI
+# catches kernel regressions (compile errors, panics, gross slowdowns)
+# without paying for a full benchmark run.
 bench-kernels:
-	$(GO) test -run '^$$' -bench BenchmarkSchurOperator -benchtime=100x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkILUApplyLevels -benchtime=100x -benchmem ./internal/lu/
 	$(GO) test -run '^$$' -bench BenchmarkCSR32MulVec -benchtime=100x -benchmem ./internal/sparse/
 
-# Smoke-run the latency-hiding SpMV benchmarks: the RHS-interleaved batch
+# Smoke-run the latency-hiding SpMV benchmark: the RHS-interleaved batch
 # kernel against its frozen row-outer baseline across widths/layouts/worker
-# counts, and the gather prefetch-distance sweep. CI runs it so a batch
-# kernel regression (or a prefetch path that stops compiling on some
-# GOARCH) shows up immediately.
+# counts. CI runs it so a batch kernel regression shows up immediately.
 bench-spmv:
-	$(GO) test -run '^$$' -bench 'BenchmarkMulVecBatchInterleaved|BenchmarkPrefetchDistance' -benchtime=20x ./internal/sparse/
+	$(GO) test -run '^$$' -bench BenchmarkMulVecBatchInterleaved -benchtime=20x ./internal/sparse/
 
 # Smoke-run the dynamic-rebuild experiments on a small R-MAT graph: queries
 # keep answering while a background flush re-preprocesses (in-rebuild p99

@@ -202,29 +202,6 @@ func WithParallelism(n int) Option {
 	return func(o *core.Options) { o.Parallelism = n }
 }
 
-// WithPinnedWorkers locks the engine's dedicated kernel workers to OS
-// threads (effective with WithParallelism(n), n > 1): combined with the
-// engine's first-touch partition placement this keeps each worker streaming
-// the matrix pages it faulted in — the NUMA-friendly sticky configuration.
-// Results are bit-identical either way.
-func WithPinnedWorkers(on bool) Option {
-	return func(o *core.Options) { o.PinWorkers = on }
-}
-
-// WithCompact selects the in-memory matrix layout: true (the default) keeps
-// the preprocessed matrices in the compact CSR32 form (uint32 column
-// indices, narrow row pointers — roughly half the index bytes), false keeps
-// the wide CSR form. Query results are bit-identical either way.
-func WithCompact(on bool) Option {
-	return func(o *core.Options) {
-		if on {
-			o.Compact = core.CompactOn
-		} else {
-			o.Compact = core.CompactOff
-		}
-	}
-}
-
 // WithMaxHubDrift bounds how far hub-touching incremental updates may
 // perturb the Schur complement before a Dynamic flush falls back to a full
 // rebuild: the drift score is ‖S_now − S_base‖F/‖S_base‖F accumulated
@@ -335,14 +312,6 @@ func (e *Engine) MemoryBytes() int64 { return e.inner.MemoryBytes() }
 // with Load start on the shared pool; call this before serving queries —
 // it must not race with them.
 func (e *Engine) SetParallelism(n int) { e.inner.SetParallelism(n) }
-
-// SetCompact switches the engine between the compact CSR32 layout (true)
-// and the wide CSR layout (false) in place. Not safe to call concurrently
-// with queries.
-func (e *Engine) SetCompact(on bool) { e.inner.SetCompact(on) }
-
-// Compacted reports whether the compact layout is active.
-func (e *Engine) Compacted() bool { return e.inner.Compacted() }
 
 // Drift reports the engine's accumulated hub-delta drift score — how far
 // incremental hub updates have moved the true Schur complement from the

@@ -23,8 +23,7 @@ import (
 // the touched H11 diagonal blocks, and recomputes only the affected Schur
 // columns — bit-identical to a full preprocess under the reused ordering at
 // a fraction of the cost. Hub-touching deltas are absorbed as a low-rank
-// Woodbury correction on the Schur solve (or an exact patch with a stale
-// preconditioner for implicit-operator engines) until the accumulated drift
+// Woodbury correction on the Schur solve until the accumulated drift
 // crosses WithMaxHubDrift, at which point — like any delta the ordering
 // cannot absorb — the flush falls back to the full preprocessing pipeline.
 // RebuildStatus.Mode reports which path served each rebuild.
@@ -220,8 +219,7 @@ const (
 	// the reused ordering.
 	RebuildModeDeltaSpoke RebuildMode = "delta-spoke"
 	// RebuildModeDeltaHub absorbed a hub-touching delta incrementally with
-	// a Woodbury correction (or an exact patch with a stale ILU on
-	// implicit-operator engines).
+	// a Woodbury correction.
 	RebuildModeDeltaHub RebuildMode = "delta-hub"
 	// RebuildModeNoop had nothing to do.
 	RebuildModeNoop RebuildMode = "noop"

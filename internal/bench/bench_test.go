@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"bepi/internal/core"
 )
 
 func TestSuiteSizes(t *testing.T) {
@@ -223,28 +221,24 @@ func parseCount(t *testing.T, s string) int {
 	return v
 }
 
-// TestKernelsLayoutAB runs the kernels experiment in both matrix layouts
-// (the bepi-bench -compact A/B) and checks the memory table reports a
-// strictly positive saving for the compact one.
+// TestKernelsLayoutAB runs the kernels experiment and checks the memory
+// table reports a strictly positive saving for the compact layout.
 func TestKernelsLayoutAB(t *testing.T) {
-	for _, mode := range []core.CompactMode{core.CompactOn, core.CompactOff} {
-		tables, err := Kernels(Config{Size: Tiny, Seeds: 2, Compact: mode})
+	tables, err := Kernels(Config{Size: Tiny, Seeds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 3 {
+		t.Fatalf("got %d tables, want 3", len(tables))
+	}
+	for _, row := range tables[0].Rows {
+		saving := strings.TrimSuffix(row[3], "%")
+		v, err := strconv.ParseFloat(saving, 64)
 		if err != nil {
-			t.Fatalf("compact=%v: %v", mode, err)
+			t.Fatalf("bad saving cell %q: %v", row[3], err)
 		}
-		if len(tables) != 3 {
-			t.Fatalf("compact=%v: got %d tables, want 3", mode, len(tables))
-		}
-		mem := tables[0]
-		for _, row := range mem.Rows {
-			saving := strings.TrimSuffix(row[3], "%")
-			v, err := strconv.ParseFloat(saving, 64)
-			if err != nil {
-				t.Fatalf("compact=%v: bad saving cell %q: %v", mode, row[3], err)
-			}
-			if v <= 0 {
-				t.Fatalf("compact=%v: dataset %s reports no index saving (%v%%)", mode, row[0], v)
-			}
+		if v <= 0 {
+			t.Fatalf("dataset %s reports no index saving (%v%%)", row[0], v)
 		}
 	}
 }

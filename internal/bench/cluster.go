@@ -8,7 +8,6 @@ import (
 
 	"bepi"
 	"bepi/internal/cluster"
-	"bepi/internal/core"
 	"bepi/internal/graph"
 	"bepi/internal/obs"
 	"bepi/internal/qexec"
@@ -86,7 +85,7 @@ func Cluster(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: cluster graph: %w", err)
 	}
-	engOpts := []bepi.Option{bepi.WithTolerance(cfg.Tol), bepi.WithCompact(cfg.Compact != core.CompactOff)}
+	engOpts := []bepi.Option{bepi.WithTolerance(cfg.Tol)}
 	if cfg.Parallelism != 0 {
 		engOpts = append(engOpts, bepi.WithParallelism(cfg.Parallelism))
 	}

@@ -39,7 +39,7 @@ func Experiments() []Experiment {
 		{"fig12", "Figure 12 (App. K): total running time (preprocessing + 30 queries)", Fig12},
 		{"prepstages", "Beyond paper: per-stage preprocessing wall times and parallel worker count", PrepStages},
 		{"serving", "Beyond paper: steady-state serving throughput, latency quantiles, cache hit rate", Serving},
-		{"kernels", "Beyond paper: compact CSR32 vs wide CSR, fused vs explicit Schur operator, serial vs leveled ILU sweeps", Kernels},
+		{"kernels", "Beyond paper: compact CSR32 vs wide CSR, serial vs leveled ILU sweeps", Kernels},
 		{"dynamic", "Beyond paper: query latency during a dynamic-index rebuild, stop-the-world vs background flush, plus incremental delta-flush vs full preprocess under a continuous update stream", Dynamic},
 		{"cluster", "Beyond paper: sharded serving — coordinator qps and cache hit rate at 1/2/4 in-process replicas", Cluster},
 		{"topk", "Beyond paper: exact top-k early termination — bound-pruned vs full-tolerance latency per k", TopK},

@@ -34,14 +34,11 @@ func timeKernel(reps int, f func()) time.Duration {
 }
 
 // Kernels is the beyond-paper kernel A/B experiment: per dataset it
-// measures the three optimizations of the bandwidth-lean kernel layer in
-// isolation — the compact CSR32 layout against wide CSR (index memory and
-// SpMV time on the explicit Schur complement), the fused implicit Schur
-// operator against the explicit solve on the end-to-end query path, and
-// the level-scheduled parallel ILU(0) triangular sweeps against the serial
-// ones. Config.Compact (bepi-bench -compact) selects the layout of the
-// engines used for the query-time A/B, so both layouts can be compared
-// end to end.
+// measures the two optimizations of the bandwidth-lean kernel layer in
+// isolation — the compact CSR32 layout the engine serves from against wide
+// CSR (memory and SpMV time of the Schur complement and its ILU(0)
+// factors), and the level-scheduled parallel ILU(0) triangular sweeps
+// against the serial ones — next to the end-to-end query time.
 func Kernels(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
 	reps := kernelReps(cfg.Size)
@@ -49,19 +46,18 @@ func Kernels(cfg Config) ([]*Table, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	core.WarmupKernels()
 	stream := sparse.StreamBandwidth()
 
 	mem := &Table{
 		Title:  "Kernel memory: wide CSR vs compact CSR32",
-		Note:   "whole-engine index bytes; values are float64 in both layouts, only index widths differ",
+		Note:   "Schur complement plus its ILU(0) factors; values are float64 in both layouts, only index widths differ",
 		Header: []string{"dataset", "index wide", "index compact", "saving"},
 	}
 	tim := &Table{
-		Title: "Kernel timings: layout, fusion, level-scheduled ILU",
-		Note: fmt.Sprintf("avg of %d applications; queries avg over %d seeds; ILU leveled uses %d workers; query layout: %s; prefetch distance %d; STREAM roof %s/s",
-			reps, cfg.Seeds, workers, layoutName(cfg.Compact), sparse.PrefetchDistance(), FmtBytes(int64(stream))),
-		Header: []string{"dataset", "S·x wide", "S·x compact", "query explicit", "query fused", "ILU serial", "ILU leveled"},
+		Title: "Kernel timings: layout, level-scheduled ILU",
+		Note: fmt.Sprintf("avg of %d applications; queries avg over %d seeds; ILU leveled uses %d workers; STREAM roof %s/s",
+			reps, cfg.Seeds, workers, FmtBytes(int64(stream))),
+		Header: []string{"dataset", "S·x wide", "S·x compact", "query", "ILU serial", "ILU leveled"},
 	}
 	bat := &Table{
 		Title: "Batched S·x: row-outer baseline vs RHS-interleaved",
@@ -78,28 +74,28 @@ func Kernels(cfg Config) ([]*Table, error) {
 		opts := core.Options{
 			Variant: core.VariantFull, Tol: cfg.Tol, Parallelism: cfg.Parallelism,
 			MemoryBudget: cfg.Budget.Memory, Deadline: cfg.Budget.Deadline,
-			Compact: cfg.Compact,
 		}
 		e, err := core.Preprocess(d.G, opts)
 		if err != nil {
 			mem.AddRow(d.Name, classifyCell(err), "-", "-")
-			tim.AddRow(d.Name, classifyCell(err), "-", "-", "-", "-", "-")
+			tim.AddRow(d.Name, classifyCell(err), "-", "-", "-", "-")
 			continue
 		}
 
-		// Memory A/B: the same engine in both layouts, restored afterwards
-		// to the layout Config.Compact asked for.
-		e.SetCompact(false)
-		wideBytes := e.MemoryBytes()
-		e.SetCompact(true)
-		compBytes := e.MemoryBytes()
-		e.SetCompact(cfg.Compact != core.CompactOff)
+		// Memory A/B of the solve kernels' operands: S and its ILU(0)
+		// factors, wide as factored and compacted as the engine stores them.
+		s := e.Schur()
+		c32 := sparse.Compact(s)
+		ilu, err := lu.FactorILU0(s)
+		if err != nil {
+			return nil, fmt.Errorf("bench: kernels ILU on %s: %w", d.Name, err)
+		}
+		wideBytes := s.MemoryBytes() + ilu.MemoryBytes()
+		compBytes := c32.MemoryBytes() + ilu.Compact().MemoryBytes()
 		mem.AddRow(d.Name, FmtBytes(wideBytes), FmtBytes(compBytes),
 			fmt.Sprintf("%.1f%%", 100*(1-float64(compBytes)/float64(wideBytes))))
 
-		// Explicit Schur SpMV, wide vs compact layout.
-		s := e.Schur()
-		c32 := sparse.Compact(s)
+		// Schur SpMV, wide vs compact layout.
 		x := make([]float64, s.Cols())
 		for i := range x {
 			x[i] = float64(i%7) - 3
@@ -137,40 +133,18 @@ func Kernels(cfg Config) ([]*Table, error) {
 				FmtBytes(int64(achieved))+"/s", pct)
 		}
 
-		// Query path, explicit S vs fused implicit operator; both engines
-		// share the layout selected by Config.Compact.
-		iopts := opts
-		iopts.ImplicitSchur = true
-		imp, err := core.Preprocess(d.G, iopts)
-		if err != nil {
-			tim.AddRow(d.Name, FmtDuration(spmvWide), FmtDuration(spmvComp),
-				"-", classifyCell(err), "-", "-")
-			continue
-		}
+		// End-to-end query path on the engine.
 		seeds := QuerySeeds(d.G, cfg.Seeds, int64(di))
-		queryAvg := func(eng *core.Engine) (time.Duration, error) {
-			start := time.Now()
-			for _, seed := range seeds {
-				if _, _, err := eng.Query(seed); err != nil {
-					return 0, err
-				}
+		start := time.Now()
+		for _, seed := range seeds {
+			if _, _, err := e.Query(seed); err != nil {
+				return nil, fmt.Errorf("bench: kernels query on %s: %w", d.Name, err)
 			}
-			return time.Since(start) / time.Duration(len(seeds)), nil
 		}
-		qExplicit, err := queryAvg(e)
-		if err != nil {
-			return nil, fmt.Errorf("bench: kernels explicit query on %s: %w", d.Name, err)
-		}
-		qFused, err := queryAvg(imp)
-		if err != nil {
-			return nil, fmt.Errorf("bench: kernels fused query on %s: %w", d.Name, err)
-		}
+		query := time.Since(start) / time.Duration(len(seeds))
 
-		// ILU(0) triangular sweeps: serial vs level-scheduled parallel.
-		ilu, err := lu.FactorILU0(s)
-		if err != nil {
-			return nil, fmt.Errorf("bench: kernels ILU on %s: %w", d.Name, err)
-		}
+		// ILU(0) triangular sweeps in the served compact layout: serial vs
+		// level-scheduled parallel.
 		src := make([]float64, s.Rows())
 		for i := range src {
 			src[i] = float64(i%5) - 2
@@ -181,8 +155,7 @@ func Kernels(cfg Config) ([]*Table, error) {
 		iluLeveled := timeKernel(reps, func() { ilu.Apply(dst, src) })
 
 		tim.AddRow(d.Name,
-			FmtDuration(spmvWide), FmtDuration(spmvComp),
-			FmtDuration(qExplicit), FmtDuration(qFused),
+			FmtDuration(spmvWide), FmtDuration(spmvComp), FmtDuration(query),
 			FmtDuration(iluSerial), FmtDuration(iluLeveled))
 	}
 	return []*Table{mem, tim, bat}, nil
@@ -213,12 +186,4 @@ func rowOuterBatch(m *sparse.CSR, dst, x [][]float64) {
 			dst[k][i] = (s0 + s1) + (s2 + s3)
 		}
 	}
-}
-
-// layoutName renders the CompactMode selected for query-path engines.
-func layoutName(m core.CompactMode) string {
-	if m == core.CompactOff {
-		return "wide CSR"
-	}
-	return "compact CSR32"
 }

@@ -8,7 +8,6 @@ import (
 
 	"bepi"
 	"bepi/internal/cluster"
-	"bepi/internal/core"
 	"bepi/internal/obs"
 	"bepi/internal/qexec"
 	"bepi/internal/server"
@@ -91,7 +90,7 @@ func Obs(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: obs graph: %w", err)
 	}
-	engOpts := []bepi.Option{bepi.WithTolerance(cfg.Tol), bepi.WithCompact(cfg.Compact != core.CompactOff)}
+	engOpts := []bepi.Option{bepi.WithTolerance(cfg.Tol)}
 	if cfg.Parallelism != 0 {
 		engOpts = append(engOpts, bepi.WithParallelism(cfg.Parallelism))
 	}

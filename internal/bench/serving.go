@@ -44,15 +44,13 @@ func Serving(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
 		Title:  "Steady-state serving (qexec over BePI)",
-		Note: fmt.Sprintf("%d concurrent clients, hot-set workload; warmup excluded via metric deltas; engine layout: %s",
-			servingClients, layoutName(cfg.Compact)),
+		Note:   fmt.Sprintf("%d concurrent clients, hot-set workload; warmup excluded via metric deltas", servingClients),
 		Header: []string{"dataset", "queries", "qps", "p50", "p99", "hit rate", "batch sz", "coalesced", "shed"},
 	}
 	for _, d := range Suite(cfg.Size) {
 		e, err := core.Preprocess(d.G, core.Options{
 			Variant: core.VariantFull, Tol: cfg.Tol, Parallelism: cfg.Parallelism,
 			MemoryBudget: cfg.Budget.Memory, Deadline: cfg.Budget.Deadline,
-			Compact: cfg.Compact,
 		})
 		if err != nil {
 			t.AddRow(d.Name, classifyCell(err), "-", "-", "-", "-", "-", "-", "-")

@@ -495,13 +495,13 @@ func (c *Coordinator) Personalized(ctx context.Context, weights map[int]float64,
 	}
 	var sum float64
 	for node, w := range weights {
-		if w < 0 {
-			return Merged{}, &BackendError{Status: http.StatusBadRequest, Msg: fmt.Sprintf("negative weight for node %d", node)}
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return Merged{}, &BackendError{Status: http.StatusBadRequest, Msg: fmt.Sprintf("weight for node %d must be finite and non-negative", node)}
 		}
 		sum += w
 	}
-	if sum <= 0 {
-		return Merged{}, &BackendError{Status: http.StatusBadRequest, Msg: "weights must sum to a positive value"}
+	if sum <= 0 || math.IsInf(sum, 0) {
+		return Merged{}, &BackendError{Status: http.StatusBadRequest, Msg: "weights must sum to a positive finite value"}
 	}
 
 	seeds := make([]int, 0, len(weights))

@@ -300,7 +300,7 @@ func fleetMetrics(snaps []obs.MetricsSnapshot) *FleetMetrics {
 // merged histogram under a bepi_fleet_ prefix.
 func (h *Handler) writeFleetProm(p *obs.PromWriter, snaps []obs.MetricsSnapshot) {
 	c := h.coord
-	obs.WriteBuildInfo(p, obs.BuildInfo{Version: bepi.Version, GoVersion: runtime.Version(), Compact: "n/a"})
+	obs.WriteBuildInfo(p, obs.BuildInfo{Version: bepi.Version, GoVersion: runtime.Version()})
 	p.Gauge("bepi_ring_members", "Healthy replicas on the consistent-hash ring.", float64(c.Ring().Len()))
 	healthy := make(map[string]float64, len(c.names))
 	for _, name := range c.names {

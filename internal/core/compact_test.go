@@ -7,10 +7,11 @@ import (
 	"testing"
 
 	"bepi/internal/gen"
+	"bepi/internal/sparse"
 )
 
 // bitsEqual compares two score vectors under Float64bits — the contract
-// the compact layout makes with the wide one.
+// parallel kernels make with serial ones.
 func bitsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -24,82 +25,69 @@ func bitsEqual(a, b []float64) bool {
 }
 
 // TestCompactEngineBitIdenticalQueries is the acceptance test for the
-// compact layout on the query path: an engine built with CompactAuto (the
-// default) must produce bit-identical score vectors, identical top-k, and
-// Float64bits-equal residuals to one built with CompactOff, while its
-// index MemoryBytes drop.
+// compact layout's parallel query path: an engine on a dedicated 4-worker
+// pool must produce bit-identical score vectors, identical top-k, and
+// Float64bits-equal residuals to a serial engine built from the same graph.
 func TestCompactEngineBitIdenticalQueries(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 21))
 	for _, variant := range []Variant{VariantFull, VariantS} {
-		wide, err := Preprocess(g, Options{Variant: variant, Compact: CompactOff})
+		serial, err := Preprocess(g, Options{Variant: variant, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, err := Preprocess(g, Options{Variant: variant})
+		par, err := Preprocess(g, Options{Variant: variant, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wide.Compacted() {
-			t.Fatal("CompactOff engine reports compacted")
+		if sb, pb := serial.MemoryBytes(), par.MemoryBytes(); sb != pb {
+			t.Fatalf("%v: MemoryBytes differ: serial %d, parallel %d", variant, sb, pb)
 		}
-		if !comp.Compacted() {
-			t.Fatal("default (CompactAuto) engine is not compacted")
-		}
-		if cb, wb := comp.MemoryBytes(), wide.MemoryBytes(); cb >= wb {
-			t.Fatalf("%v: compact MemoryBytes %d not below wide %d", variant, cb, wb)
-		}
-		// The Schur complement must round-trip exactly.
-		if !comp.Schur().Equal(wide.Schur()) {
-			t.Fatalf("%v: compact Schur differs", variant)
+		if !par.Schur().Equal(serial.Schur()) {
+			t.Fatalf("%v: parallel Schur differs", variant)
 		}
 		for _, seed := range []int{0, 7, g.N() - 1} {
-			rw, sw, err := wide.Query(seed)
+			rs, ss, err := serial.Query(seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rc, sc, err := comp.Query(seed)
+			rp, sp, err := par.Query(seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bitsEqual(rw, rc) {
-				t.Fatalf("%v seed %d: compact scores differ from wide", variant, seed)
+			if !bitsEqual(rs, rp) {
+				t.Fatalf("%v seed %d: parallel scores differ from serial", variant, seed)
 			}
-			if math.Float64bits(sw.Residual) != math.Float64bits(sc.Residual) ||
-				sw.Iterations != sc.Iterations {
+			if math.Float64bits(ss.Residual) != math.Float64bits(sp.Residual) ||
+				ss.Iterations != sp.Iterations {
 				t.Fatalf("%v seed %d: solve stats differ: %v/%d vs %v/%d",
-					variant, seed, sw.Residual, sw.Iterations, sc.Residual, sc.Iterations)
+					variant, seed, ss.Residual, ss.Iterations, sp.Residual, sp.Iterations)
 			}
-			tw := RankTopK(rw, 10, seed)
-			tc := RankTopK(rc, 10, seed)
-			for i := range tw {
-				if tw[i] != tc[i] {
-					t.Fatalf("%v seed %d: top-k differs at %d: %+v vs %+v", variant, seed, i, tw[i], tc[i])
+			ts := RankTopK(rs, 10, seed)
+			tp := RankTopK(rp, 10, seed)
+			for i := range ts {
+				if ts[i] != tp[i] {
+					t.Fatalf("%v seed %d: top-k differs at %d: %+v vs %+v", variant, seed, i, ts[i], tp[i])
 				}
 			}
 		}
+		par.Pool().Close()
 	}
 }
 
 // TestCompactIndexBytesHalved pins the ≈2× index-footprint cut: with the
-// float64 values shared between layouts, the index bytes (everything
-// except values, LU factor payloads, and the permutation) must halve.
+// float64 values shared between layouts, every stored matrix's index bytes
+// (everything except values) must be half those of its wide CSR form.
 func TestCompactIndexBytesHalved(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 22))
-	wide, err := Preprocess(g, Options{Compact: CompactOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := Preprocess(g, Options{})
+	e, err := Preprocess(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Per stored matrix: wide spends 8 bytes/entry on columns and 8/row on
 	// pointers, compact exactly half of each (dims here are far below the
-	// int32 cutover). ILU schedules and values are width-independent.
-	wideMats := []mat{wide.h12, wide.h21, wide.h31, wide.h32, wide.schur}
-	compMats := []mat{comp.h12, comp.h21, comp.h31, comp.h32, comp.schur}
-	for i := range wideMats {
-		wm, cm := wideMats[i], compMats[i]
+	// int32 cutover).
+	for i, cm := range []*sparse.CSR32{e.h12, e.h21, e.h31, e.h32, e.schur} {
+		wm := cm.ToCSR()
 		wIdx := wm.MemoryBytes() - int64(wm.NNZ())*8
 		cIdx := cm.MemoryBytes() - int64(cm.NNZ())*8
 		if wIdx != 2*cIdx {
@@ -108,49 +96,9 @@ func TestCompactIndexBytesHalved(t *testing.T) {
 	}
 }
 
-// TestSetCompactRoundTrip toggles one engine between layouts and checks
-// the queries stay bit-identical in both directions.
-func TestSetCompactRoundTrip(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(9, 7, 23))
-	e, err := Preprocess(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := e.Query(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	memCompact := e.MemoryBytes()
-	e.SetCompact(false)
-	if e.Compacted() {
-		t.Fatal("SetCompact(false) left engine compacted")
-	}
-	if e.MemoryBytes() <= memCompact {
-		t.Fatal("widening did not grow MemoryBytes")
-	}
-	got, _, err := e.Query(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitsEqual(want, got) {
-		t.Fatal("widened engine changed query results")
-	}
-	e.SetCompact(true)
-	if !e.Compacted() || e.MemoryBytes() != memCompact {
-		t.Fatalf("re-compacted engine MemoryBytes %d want %d", e.MemoryBytes(), memCompact)
-	}
-	got, _, err = e.Query(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitsEqual(want, got) {
-		t.Fatal("re-compacted engine changed query results")
-	}
-}
-
 // TestCompactSurvivesSaveLoad checks that a compacted engine serializes in
 // the layout-independent wide format and that a loaded engine (compacted
-// again by default) answers bit-identically.
+// again) answers bit-identically.
 func TestCompactSurvivesSaveLoad(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 7, 24))
 	e, err := Preprocess(g, Options{})
@@ -165,9 +113,6 @@ func TestCompactSurvivesSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.Compacted() {
-		t.Fatal("loaded engine is not compacted by default")
-	}
 	want, _, err := e.Query(5)
 	if err != nil {
 		t.Fatal(err)
@@ -178,65 +123,6 @@ func TestCompactSurvivesSaveLoad(t *testing.T) {
 	}
 	if !bitsEqual(want, got) {
 		t.Fatal("loaded engine differs from built engine")
-	}
-}
-
-// TestImplicitSchurMatchesExplicit checks the fused operator: it must
-// apply exactly S = H22 − H21·H11⁻¹·H12 (validated against the dense
-// expansion of the explicit S within fill-in rounding) and the resulting
-// queries must converge to the explicit engine's answers within solver
-// tolerance.
-func TestImplicitSchurMatchesExplicit(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(9, 7, 25))
-	const tol = 1e-9
-	exp, err := Preprocess(g, Options{Tol: tol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp, err := Preprocess(g, Options{Tol: tol, ImplicitSchur: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imp.h22 == nil {
-		t.Fatal("implicit engine did not retain H22")
-	}
-	// Operator check: fused apply vs explicit S SpMV on a few basis-ish
-	// vectors. VariantFull sparsifies nothing away at k=0.2 defaults, so
-	// the two agree to rounding.
-	n2 := imp.ord.N2
-	op := imp.newSchurOperator()
-	x := make([]float64, n2)
-	yf := make([]float64, n2)
-	ye := make([]float64, n2)
-	for trial := 0; trial < 3; trial++ {
-		for i := range x {
-			x[i] = float64((i+trial)%5) - 2
-		}
-		op.MulVec(yf, x)
-		exp.schur.MulVec(ye, x)
-		for i := range yf {
-			if d := math.Abs(yf[i] - ye[i]); d > 1e-8 {
-				t.Fatalf("trial %d: fused operator differs from explicit S at %d by %v", trial, i, d)
-			}
-		}
-	}
-	for _, seed := range []int{1, 11} {
-		re, _, err := exp.Query(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ri, st, err := imp.Query(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Residual > tol {
-			t.Fatalf("implicit solve residual %v above tol", st.Residual)
-		}
-		for i := range re {
-			if d := math.Abs(re[i] - ri[i]); d > 1e-7 {
-				t.Fatalf("seed %d: implicit score[%d] differs by %v", seed, i, d)
-			}
-		}
 	}
 }
 
@@ -280,11 +166,11 @@ func TestKernelHookObservesSolve(t *testing.T) {
 
 // TestParallelCompactQueriesBitIdentical runs concurrent queries against a
 // compacted engine with a multi-worker pool and checks every result equals
-// the serial wide reference bit for bit — the end-to-end composition of the
+// the serial reference bit for bit — the end-to-end composition of the
 // CSR32 kernels, the level-scheduled ILU sweeps, and the shared pool.
 func TestParallelCompactQueriesBitIdentical(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 27))
-	ref, err := Preprocess(g, Options{Compact: CompactOff, Parallelism: 1})
+	ref, err := Preprocess(g, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +197,7 @@ func TestParallelCompactQueriesBitIdentical(t *testing.T) {
 				return
 			}
 			if !bitsEqual(wants[i], got) {
-				t.Errorf("seed %d: parallel compact query differs from serial wide", s)
+				t.Errorf("seed %d: parallel compact query differs from serial", s)
 			}
 		}(i, s)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"bepi/internal/dense"
 	"bepi/internal/graph"
-	"bepi/internal/lu"
 	"bepi/internal/reorder"
 	"bepi/internal/solver"
 	"bepi/internal/sparse"
@@ -29,13 +28,11 @@ import (
 //     bit-identical to PreprocessWithOrdering on the updated graph.
 //   - An edge update with a hub source u rescales column perm[u]−n1 of
 //     H12/H22/H32, perturbing exactly one column of S per hub source: a
-//     rank-r update S' = S̃ + U·Vᵀ. Engines serving the explicit operator
-//     absorb it with a Sherman–Morrison–Woodbury correction applied after
-//     every Schur solve (stored S̃ and its ILU stay the base); engines built
-//     with ImplicitSchur patch H12/H22/H32 directly — the fused operator is
-//     then exact and only the ILU preconditioner goes stale. Either way a
-//     drift score accumulates and, past Options.MaxHubDrift, ApplyDelta
-//     refuses with ErrDriftExceeded so the caller runs a full rebuild.
+//     rank-r update S' = S̃ + U·Vᵀ. The engine absorbs it with a
+//     Sherman–Morrison–Woodbury correction applied after every Schur solve
+//     (stored S̃ and its ILU stay the base). A drift score accumulates and,
+//     past Options.MaxHubDrift, ApplyDelta refuses with ErrDriftExceeded so
+//     the caller runs a full rebuild.
 //   - Anything that breaks the reused ordering's structure — a new node
 //     with out-edges, a deadend gaining its first out-edge, a spoke edge
 //     crossing H11 blocks — is refused with ErrDeltaFull.
@@ -59,7 +56,7 @@ const (
 	// under the reused ordering.
 	DeltaSpoke DeltaClass = iota
 	// DeltaHub: at least one op had a hub source; the Schur solve carries a
-	// Woodbury correction (explicit operator) or a stale ILU (implicit).
+	// Woodbury correction.
 	DeltaHub
 	// DeltaFull: the delta cannot reuse the ordering; callers must run a
 	// full rebuild.
@@ -91,7 +88,7 @@ type DeltaStats struct {
 	NewNodes        int
 	TouchedBlocks   int // H11 diagonal blocks re-factored
 	AffectedColumns int // Schur columns recomputed
-	Rank            int // columns carrying a Woodbury correction (explicit hub path)
+	Rank            int // columns carrying a Woodbury correction (hub path)
 	Drift           float64
 	Duration        time.Duration
 }
@@ -103,8 +100,8 @@ type colEntry struct {
 	val float64
 }
 
-// woodbury is the rank-r correction a hub delta installs over the explicit
-// Schur operator: solves run against the base S̃ (stored schur + ILU), then
+// woodbury is the rank-r correction a hub delta installs over the stored
+// Schur complement: solves run against the base S̃ (stored schur + ILU), then
 // y ← y − Z·C⁻¹·y[J] maps the base solution to the updated graph's, where
 // Z = S̃⁻¹U and C = I + VᵀZ is the LU-factored capacitance. All state is
 // read-only after construction, so concurrent solves share it safely.
@@ -141,9 +138,8 @@ func (w *woodbury) correct(y []float64) {
 func (e *Engine) Corrected() bool { return e.wood != nil }
 
 // Drift returns the accumulated hub-delta drift score
-// ‖S_now − S̃_base‖F / ‖S̃_base‖F (an upper bound, for implicit engines,
-// where per-delta column perturbations accumulate by triangle inequality).
-// Zero on engines whose factors are exact for the graph they serve.
+// ‖S_now − S̃_base‖F / ‖S̃_base‖F. Zero on engines whose factors are exact
+// for the graph they serve.
 func (e *Engine) Drift() float64 {
 	if e.driftBase == 0 || len(e.driftCols) == 0 {
 		return 0
@@ -176,6 +172,9 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	st := DeltaStats{Class: DeltaFull, Ops: len(ops)}
 	if gNew.N() < e.n {
 		return nil, st, fmt.Errorf("graph shrank %d → %d: %w", e.n, gNew.N(), ErrDeltaFull)
+	}
+	if err := checkIndexRange(gNew.N()); err != nil {
+		return nil, st, err
 	}
 	growth := gNew.N() - e.n
 	st.NewNodes = growth
@@ -264,9 +263,10 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	// blocks. A source's whole current out-neighborhood is rewritten (a
 	// degree change rescales every remaining entry), deleted targets are
 	// removed, and H11 entries are skipped — touched blocks are rebuilt
-	// dense from gNew below.
+	// dense from gNew below. H22 is not stored: the affected Schur columns
+	// take their H22 part straight from gNew (h22Column).
 	c := e.opts.C
-	var h21E, h31E, h12E, h22E, h32E []sparse.Edit
+	var h21E, h31E, h12E, h32E []sparse.Edit
 	hubCols := make(map[int]bool)
 	for u, d := range srcs {
 		pu := ord.Perm[u]
@@ -290,19 +290,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 				switch {
 				case pv < n1:
 					h12E = append(h12E, sparse.Edit{Row: pv, Col: j, Val: val, Delete: del})
-				case pv < l:
-					if pv-n1 == j {
-						// Diagonal of H22 merges identity + self-loop; it
-						// exists even without the self-loop, so deletion
-						// means "revert to 1", never removal.
-						if del {
-							h22E = append(h22E, sparse.Edit{Row: j, Col: j, Val: 1})
-						} else {
-							h22E = append(h22E, sparse.Edit{Row: j, Col: j, Val: 1 + val})
-						}
-						return
-					}
-					h22E = append(h22E, sparse.Edit{Row: pv - n1, Col: j, Val: val, Delete: del})
+				case pv < l: // H22, rebuilt per column from gNew
 				default:
 					h32E = append(h32E, sparse.Edit{Row: pv - l, Col: j, Val: val, Delete: del})
 				}
@@ -322,32 +310,20 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	// Copy-on-write patches. Only matrices with edits (or appended rows)
 	// are rebuilt; the rest are shared with the serving engine.
 	tPatch := time.Now()
-	patch := func(m mat, appendRows int, edits []sparse.Edit) mat {
+	patch := func(m *sparse.CSR32, appendRows int, edits []sparse.Edit) *sparse.CSR32 {
 		if appendRows == 0 && len(edits) == 0 {
 			return m
 		}
-		w := asCSR(m)
+		w := m.ToCSR()
 		if appendRows > 0 {
 			w = w.WithRowsAppended(appendRows)
 		}
-		w = w.WithEdits(edits)
-		if _, compact := m.(*sparse.CSR32); compact && fitsCompact(w) {
-			return sparse.Compact(w)
-		}
-		return w
+		return sparse.Compact(w.WithEdits(edits))
 	}
 	h12New := patch(e.h12, 0, h12E)
 	h21New := patch(e.h21, 0, h21E)
 	h31New := patch(e.h31, growth, h31E)
 	h32New := patch(e.h32, growth, h32E)
-	var h22New mat
-	if e.h22 != nil {
-		h22New = patch(e.h22, 0, h22E)
-	}
-	var h22xNew mat
-	if e.h22x != nil {
-		h22xNew = patch(e.h22x, 0, h22E)
-	}
 	patchDur := time.Since(tPatch)
 
 	// Partial H11 refactorization: rebuild the touched diagonal blocks
@@ -395,7 +371,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	for j := range hubCols {
 		affected[j] = true
 	}
-	h12W := asCSR(h12New)
+	h12W := h12New.ToCSR()
 	for b := range touched {
 		lo, hi := e.h11LU.BlockRange(b)
 		for i := lo; i < hi; i++ {
@@ -416,24 +392,13 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	// algorithm, verbatim, against the patched blocks — same accumulation
 	// order, same staging, same merge with the H22 column, explicit zeros
 	// kept — so the recomputed columns are bit-identical to a from-scratch
-	// Schur build.
+	// Schur build. The H22 column is rebuilt from gNew with the same
+	// two-term sums BuildH assembles.
 	tSchur := time.Now()
 	newCols := make(map[int][]colEntry, len(cols))
 	if len(cols) > 0 {
-		// Updated H22 columns: extracted in one sweep from the retained (and
-		// just patched) H22 block when the engine kept one; reconstructed from
-		// the graph per column otherwise (deserialized engines). The stored
-		// block holds exactly the values BuildH assembled — the same two-term
-		// sums h22Column reproduces — so both sources are bit-identical.
-		var h22Cols map[int][]colEntry
-		switch {
-		case h22New != nil:
-			h22Cols = extractColumns(asCSR(h22New), affected)
-		case h22xNew != nil:
-			h22Cols = extractColumns(asCSR(h22xNew), affected)
-		}
 		h12T := h12W.Transpose()
-		h21T := asCSR(h21New).Transpose()
+		h21T := h21New.ToCSR().Transpose()
 		scratch := make([]float64, maxInt(h11LUNew.MaxBlockSize(), 1))
 		acc := make([]float64, n2)
 		mark := make([]int, n2)
@@ -466,11 +431,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 					staged = append(staged, colEntry{i, -acc[i]})
 				}
 			}
-			hc, ok := h22Cols[j]
-			if !ok {
-				hc = h22Column(gNew, ord, c, j)
-			}
-			newCols[j] = mergeColumns(hc, staged)
+			newCols[j] = mergeColumns(h22Column(gNew, ord, c, j), staged)
 			// Reset marks for the next column (stamp value is the column id,
 			// which repeats never, but guard against j reuse across calls).
 			for _, i := range touchedIdx {
@@ -481,30 +442,28 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	schurDur := time.Since(tSchur)
 
 	// Base/previous values of the affected columns from the stored S.
-	schurW := asCSR(e.schur)
+	schurW := e.schur.ToCSR()
 	oldCols := extractColumns(schurW, affected)
 
 	ne := &Engine{
 		opts: e.opts, n: gNew.N(), ord: ord,
 		h12: h12New, h21: h21New, h31: h31New, h32: h32New,
-		h22: h22New, h22x: h22xNew, schur: e.schur, h11LU: h11LUNew, ilu: e.ilu,
+		schur: e.schur, h11LU: h11LUNew, ilu: e.ilu,
 		pool: e.pool, prep: e.prep,
 	}
 
 	iluDur := time.Duration(0)
-	useWood := e.h22 == nil && (hub || e.wood != nil)
-	if useWood {
-		// Explicit operator, hub-touched (or already corrected): stored S̃
-		// and ILU stay the base; affected columns become (or update)
-		// Woodbury corrections. Δ is always measured against the base S̃, so
-		// repeated deltas never compound approximation error.
+	if hub || e.wood != nil {
+		// Hub-touched (or already corrected): stored S̃ and ILU stay the
+		// base; affected columns become (or update) Woodbury corrections. Δ
+		// is always measured against the base S̃, so repeated deltas never
+		// compound approximation error.
 		if err := e.installWoodbury(ne, schurW, cols, newCols, oldCols); err != nil {
 			return nil, st, err
 		}
 		st.Rank = len(ne.wood.cols)
 	} else {
-		// Exact path (spoke-only explicit, or any implicit delta): splice
-		// the recomputed columns into the stored S.
+		// Exact spoke path: splice the recomputed columns into the stored S.
 		if len(cols) > 0 {
 			var edits []sparse.Edit
 			changedRows := make([]bool, n2)
@@ -512,86 +471,31 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 				edits = appendColumnEdits(edits, j, oldCols[j], newCols[j], changedRows)
 			}
 			sNew := schurW.WithEdits(edits)
-			if hub && e.h22 != nil && e.ilu != nil {
-				// Implicit hub path: the fused operator and the patched S are
-				// exact; only the ILU preconditioner is left stale. Account
-				// the staleness per column and refuse past the threshold.
-				dc := make(map[int]float64, len(e.driftCols)+len(cols))
-				for j, d := range e.driftCols {
-					dc[j] = d
-				}
-				db := e.driftBase
-				if db == 0 {
-					db = schurW.FrobeniusNorm()
-					if db == 0 {
-						db = 1
-					}
-				}
-				for _, j := range cols {
-					dc[j] += colNorm(diffColumns(newCols[j], oldCols[j]))
-				}
-				var sum float64
-				for _, d := range dc {
-					sum += d * d
-				}
-				if drift := math.Sqrt(sum) / db; drift > e.opts.MaxHubDrift {
-					return nil, st, fmt.Errorf("drift %.3g > %.3g: %w", drift, e.opts.MaxHubDrift, ErrDriftExceeded)
-				}
-				ne.driftCols, ne.driftBase = dc, db
-			} else if e.ilu != nil {
-				// Exact spoke path: re-factor ILU(0) from the patched wide S
-				// — the same source Preprocess factors from — restoring full
-				// exactness (and resetting any implicit-path drift). When the
-				// serving ILU matches the stored S (no accumulated drift), the
-				// partial refactorization reuses every factor row outside the
-				// edited rows' dirty closure; a drifted implicit engine's ILU
-				// is stale, so it re-factors from scratch.
+			if e.ilu != nil {
+				// Re-factor ILU(0) from the patched wide S — the same source
+				// Preprocess factors from. The partial refactorization reuses
+				// every factor row outside the edited rows' dirty closure.
 				tILU := time.Now()
-				var ilu *lu.ILU
-				var err error
-				if e.driftCols == nil {
-					ilu, err = e.ilu.RefactorRows(sNew, changedRows)
-				} else {
-					ilu, err = lu.FactorILU0(sNew)
-				}
+				ilu, err := e.ilu.RefactorRows(sNew, changedRows)
 				if err != nil {
 					return nil, st, fmt.Errorf("core: re-factoring ILU(0) of patched S: %w", err)
 				}
-				if e.Compacted() {
-					ilu.Compact()
-				}
+				ilu.Compact()
 				ne.ilu = ilu
 				iluDur = time.Since(tILU)
 			}
-			if _, compact := e.schur.(*sparse.CSR32); compact && fitsCompact(sNew) {
-				ne.schur = sparse.Compact(sNew)
-			} else {
-				ne.schur = sNew
-			}
-		}
-		if !hub {
-			// Fully exact again: no residual drift.
-			ne.driftCols, ne.driftBase = nil, 0
-			if e.h22 != nil && e.driftCols != nil && e.ilu != nil && len(cols) == 0 {
-				// A pure-growth delta on a drifted implicit engine keeps the
-				// stale ILU; carry the drift forward.
-				ne.driftCols, ne.driftBase = e.driftCols, e.driftBase
-			}
+			ne.schur = sparse.Compact(sNew)
 		}
 	}
 
 	// Attach the pool to the matrices this delta rebuilt; shared ones are
 	// already attached (and must not be re-first-touched while the old
 	// engine is serving from them).
-	for _, m := range []mat{ne.h12, ne.h21, ne.h31, ne.h32, ne.h22, ne.schur} {
-		if m == nil {
-			continue
-		}
+	for _, m := range []*sparse.CSR32{ne.h12, ne.h21, ne.h31, ne.h32, ne.schur} {
 		switch m {
-		case e.h12, e.h21, e.h31, e.h32, e.h22, e.schur:
+		case e.h12, e.h21, e.h31, e.h32, e.schur:
 		default:
-			matSetPool(m, ne.pool)
-			matFirstTouch(m)
+			m.SetPool(ne.pool).FirstTouch()
 		}
 	}
 	if ne.ilu != nil && ne.ilu != e.ilu {

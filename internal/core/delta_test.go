@@ -9,6 +9,7 @@ import (
 
 	"bepi/internal/gen"
 	"bepi/internal/graph"
+	"bepi/internal/sparse"
 	"bepi/internal/vec"
 )
 
@@ -118,15 +119,14 @@ func genHubDeltaOps(rng *rand.Rand, g *graph.Graph, e *Engine, count int) []Edge
 
 // matBitsEqual compares two stored matrices entry-for-entry including the
 // exact float bits and the sparsity pattern (explicit zeros included).
-func matBitsEqual(t *testing.T, name string, a, b mat) {
+func matBitsEqual(t *testing.T, name string, a, b *sparse.CSR32) {
 	t.Helper()
-	if (a == nil) != (b == nil) {
-		t.Fatalf("%s: nil mismatch", name)
-	}
-	if a == nil {
-		return
-	}
-	aw, bw := asCSR(a), asCSR(b)
+	csrBitsEqual(t, name, a.ToCSR(), b.ToCSR())
+}
+
+// csrBitsEqual is matBitsEqual for wide matrices.
+func csrBitsEqual(t *testing.T, name string, aw, bw *sparse.CSR) {
+	t.Helper()
 	if aw.Rows() != bw.Rows() || aw.Cols() != bw.Cols() || aw.NNZ() != bw.NNZ() {
 		t.Fatalf("%s: shape/nnz mismatch %dx%d/%d vs %dx%d/%d",
 			name, aw.Rows(), aw.Cols(), aw.NNZ(), bw.Rows(), bw.Cols(), bw.NNZ())
@@ -175,7 +175,7 @@ func requireQueryBitsEqual(t *testing.T, a, b *Engine, seeds []int) {
 // rebuild is bit-identical to a full preprocess of the updated graph under
 // the reused ordering — matrices, Schur complement, and query results — on
 // an RMAT graph and a pathological near-uniform one, across operator
-// variants, implicit/explicit, and both storage layouts.
+// variants and on a dedicated worker pool.
 func TestDeltaSpokeBitIdentical(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat": gen.RMAT(gen.DefaultRMAT(8, 6, 17)),
@@ -186,8 +186,7 @@ func TestDeltaSpokeBitIdentical(t *testing.T) {
 		opts Options
 	}{
 		{"full", Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10}},
-		{"full-implicit", Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10, ImplicitSchur: true}},
-		{"full-wide", Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10, Compact: CompactOff}},
+		{"full-par4", Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10, Parallelism: 4}},
 		{"b", Options{Variant: VariantB, HubRatio: 0.01, Tol: 1e-10}},
 	}
 	for gname, g := range graphs {
@@ -224,7 +223,6 @@ func TestDeltaSpokeBitIdentical(t *testing.T) {
 				matBitsEqual(t, "h21", e1.h21, ref.h21)
 				matBitsEqual(t, "h31", e1.h31, ref.h31)
 				matBitsEqual(t, "h32", e1.h32, ref.h32)
-				matBitsEqual(t, "h22", e1.h22, ref.h22)
 				matBitsEqual(t, "schur", e1.schur, ref.schur)
 				requireQueryBitsEqual(t, e1, ref, []int{0, 1, g.N() / 2, g.N() - 1})
 			})
@@ -322,7 +320,7 @@ func TestDeltaNodeGrowth(t *testing.T) {
 	requireQueryBitsEqual(t, e2, ref, []int{0, g.N() + 2})
 }
 
-// TestDeltaHubWoodbury checks the hub path on the explicit operator: the
+// TestDeltaHubWoodbury checks the hub path: the
 // corrected engine answers within solver tolerance of a full rebuild, with
 // identical top-k sets, reports its correction state, and refuses to
 // serialize.
@@ -347,7 +345,7 @@ func TestDeltaHubWoodbury(t *testing.T) {
 		t.Fatalf("stats %+v, want hub class with positive rank", st)
 	}
 	if !e1.Corrected() {
-		t.Fatal("hub delta on explicit operator must install a Woodbury correction")
+		t.Fatal("hub delta must install a Woodbury correction")
 	}
 	if e1.Drift() <= 0 || st.Drift != e1.Drift() {
 		t.Fatalf("drift %v (stats %v), want positive and consistent", e1.Drift(), st.Drift)
@@ -409,99 +407,33 @@ func TestDeltaHubWoodbury(t *testing.T) {
 	}
 }
 
-// TestDeltaHubImplicitExact checks the hub path on an implicit-operator
-// engine: S and the fused operator are patched exactly (no Woodbury), only
-// drift accrues for the stale ILU, and the engine still serializes.
-func TestDeltaHubImplicitExact(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(8, 6, 43))
-	opts := Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10, ImplicitSchur: true}
-	e0, err := Preprocess(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(19))
-	ops := genHubDeltaOps(rng, g, e0, 4)
-	if len(ops) == 0 {
-		t.Skip("no hubs")
-	}
-	gNew := applyOpsToGraph(g, g.N(), ops)
-	e1, st, err := e0.ApplyDelta(gNew, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Class != DeltaHub || e1.Corrected() {
-		t.Fatalf("implicit hub delta: class=%v corrected=%v, want DeltaHub uncorrected", st.Class, e1.Corrected())
-	}
-	if e1.Drift() <= 0 {
-		t.Fatal("implicit hub delta should accrue ILU drift")
-	}
-	// The patched S must equal the reference bit-for-bit even though the
-	// solve trajectory differs (stale preconditioner).
-	ref, err := PreprocessWithOrdering(gNew, opts, e1.ord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matBitsEqual(t, "schur", e1.schur, ref.schur)
-	matBitsEqual(t, "h22", e1.h22, ref.h22)
-	got, _, err := e1.Query(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := ref.Query(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := vec.Dist2(got, want); d > 1e-7 {
-		t.Fatalf("implicit corrected query off by %v", d)
-	}
-	if _, err := e1.WriteTo(&bytes.Buffer{}); err != nil {
-		t.Fatalf("implicit delta engine must stay serializable: %v", err)
-	}
-
-	// A follow-up spoke delta re-factors the ILU and clears the drift.
-	ops2 := genSpokeDeltaOps(rng, gNew, e1, 3)
-	if len(ops2) > 0 {
-		g2 := applyOpsToGraph(gNew, gNew.N(), ops2)
-		e2, _, err := e1.ApplyDelta(g2, ops2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e2.Drift() != 0 {
-			t.Fatalf("spoke delta should reset drift, got %v", e2.Drift())
-		}
-	}
-}
-
 // TestDeltaDriftFallback checks the rebuild-demand paths: a tiny threshold
 // rejects hub deltas with ErrDriftExceeded, and a negative MaxHubDrift
 // disables the hub path outright.
 func TestDeltaDriftFallback(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(8, 6, 47))
 	rng := rand.New(rand.NewSource(23))
-	for _, implicit := range []bool{false, true} {
-		opts := Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10,
-			ImplicitSchur: implicit, MaxHubDrift: 1e-15}
-		e0, err := Preprocess(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops := genHubDeltaOps(rng, g, e0, 4)
-		if len(ops) == 0 {
-			t.Skip("no hubs")
-		}
-		gNew := applyOpsToGraph(g, g.N(), ops)
-		if _, _, err := e0.ApplyDelta(gNew, ops); !errors.Is(err, ErrDriftExceeded) {
-			t.Fatalf("implicit=%v: err=%v, want ErrDriftExceeded", implicit, err)
-		}
+	opts := Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10, MaxHubDrift: 1e-15}
+	e0, err := Preprocess(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := genHubDeltaOps(rng, g, e0, 4)
+	if len(ops) == 0 {
+		t.Skip("no hubs")
+	}
+	gNew := applyOpsToGraph(g, g.N(), ops)
+	if _, _, err := e0.ApplyDelta(gNew, ops); !errors.Is(err, ErrDriftExceeded) {
+		t.Fatalf("err=%v, want ErrDriftExceeded", err)
+	}
 
-		opts.MaxHubDrift = -1
-		eNeg, err := Preprocess(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := eNeg.ApplyDelta(gNew, ops); !errors.Is(err, ErrDeltaFull) {
-			t.Fatalf("implicit=%v: MaxHubDrift<0: err=%v, want ErrDeltaFull", implicit, err)
-		}
+	opts.MaxHubDrift = -1
+	eNeg, err := Preprocess(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eNeg.ApplyDelta(gNew, ops); !errors.Is(err, ErrDeltaFull) {
+		t.Fatalf("MaxHubDrift<0: err=%v, want ErrDeltaFull", err)
 	}
 }
 

@@ -94,31 +94,6 @@ type Options struct {
 	// engine its own n-worker pool. Parallel and serial execution produce
 	// bit-identical results.
 	Parallelism int
-	// PinWorkers, with Parallelism > 1, locks each of the engine's
-	// dedicated pool workers to an OS thread (runtime.LockOSThread), so the
-	// scheduler cannot migrate a worker between first-touching its matrix
-	// partition (FirstTouch) and streaming it on later applies — the
-	// NUMA-friendly sticky placement. Ignored for the shared pool
-	// (Parallelism == 0) and for serial execution. Results are unaffected.
-	PinWorkers bool
-	// Compact selects the storage layout of the preprocessed matrices
-	// (H12/H21/H31/H32, the Schur complement, and the ILU factors).
-	// CompactAuto — the zero value, i.e. the default — narrows the index
-	// arrays to 32 bits after preprocessing, cutting their footprint and
-	// the bytes every solve iteration streams roughly in half; query
-	// results are bit-identical to the wide layout. CompactOff keeps the
-	// wide CSR layout. The mode is a runtime knob (see SetCompact), not
-	// part of the serialized index.
-	Compact CompactMode
-	// ImplicitSchur, when true, makes the iterative solver apply the Schur
-	// complement as the fused operator H22·x − H21·(H11⁻¹·(H12·x)) instead
-	// of an explicit SpMV on the precomputed S; the engine then retains the
-	// H22 block. The explicit S is still built (the ILU preconditioner and
-	// the accuracy bound need it). Default false — the explicit operator is
-	// the paper's formulation and the bit-stable baseline. The flag applies
-	// to engines built by Preprocess; a loaded index always serves the
-	// explicit operator.
-	ImplicitSchur bool
 	// MaxHubDrift bounds how much hub-touching deltas may perturb the Schur
 	// complement before ApplyDelta refuses and demands a full rebuild: the
 	// drift score is ‖S_now − S̃_base‖F / ‖S̃_base‖F accumulated column-wise
@@ -131,20 +106,6 @@ type Options struct {
 // DefaultMaxHubDrift is the hub-drift threshold used when
 // Options.MaxHubDrift is zero.
 const DefaultMaxHubDrift = 0.1
-
-// CompactMode selects between the wide CSR and compact CSR32 index layouts
-// for the engine's stored matrices.
-type CompactMode int
-
-const (
-	// CompactAuto (the default) compacts whenever the index range allows.
-	CompactAuto CompactMode = iota
-	// CompactOn compacts, like CompactAuto; the distinct value lets
-	// configuration layers express an explicit choice.
-	CompactOn
-	// CompactOff keeps the wide layout.
-	CompactOff
-)
 
 func (o Options) withDefaults() Options {
 	if o.C <= 0 || o.C >= 1 {
@@ -246,22 +207,21 @@ type StageTimings struct {
 
 // Engine is a preprocessed BePI index able to answer RWR queries for any
 // seed node. It is safe for concurrent queries (all query state is local).
+//
+// It holds exactly the paper's index (Figure 1(b)): the H11 block LU
+// factors, the partition blocks H12/H21/H31/H32, the Schur complement S and,
+// for full BePI, S's ILU(0) factors — every matrix in the compact CSR32
+// layout, whose kernels are bit-identical to the wide CSR ones the index is
+// built, patched and serialized in.
 type Engine struct {
 	opts Options
 	n    int
 	ord  *reorder.Ordering
 
-	h12, h21, h31, h32 mat
-	schur              mat
-	h22                mat // retained only when opts.ImplicitSchur
-	// h22x retains the H22 block on explicit-operator engines purely for the
-	// incremental-rebuild path: ApplyDelta extracts affected H22 columns from
-	// it in one sweep instead of reconstructing them from the graph per
-	// column. Never read on the query path and not serialized — engines
-	// loaded from disk fall back to the per-column graph reconstruction.
-	h22x  mat
-	h11LU *lu.BlockLU
-	ilu   *lu.ILU // nil unless VariantFull
+	h12, h21, h31, h32 *sparse.CSR32
+	schur              *sparse.CSR32
+	h11LU              *lu.BlockLU
+	ilu                *lu.ILU // nil unless VariantFull
 
 	pool *par.Pool // compute pool for kernels; nil means serial
 	prep PrepStats
@@ -283,7 +243,7 @@ type Engine struct {
 	// singular-value estimates behind it cost dozens of GMRES solves on S,
 	// so they run once per engine — lazily, under the Once — and every
 	// per-seed bound then just scales the factor by that seed's ‖q̃2‖.
-	// Compact/parallelism toggles keep it valid (their kernels are
+	// Parallelism changes keep it valid (parallel kernels are
 	// bit-identical), and an engine swap replaces the whole Engine.
 	bndOnce   sync.Once
 	bndFactor float64
@@ -296,10 +256,9 @@ type Engine struct {
 	// solve. Engines with a correction cannot be serialized and do not serve
 	// the bounded top-k certificate. Built by ApplyDelta (delta.go).
 	wood *woodbury
-	// driftCols tracks, per Schur column, the accumulated perturbation
-	// ‖ΔS[:,j]‖₂ hub deltas have applied since the ILU factors (and, for
-	// corrected engines, the stored S̃) were last exact; driftBase is
-	// ‖S̃‖F at that point. Engine.Drift derives the relative score from them.
+	// driftCols tracks, per Schur column, the perturbation ‖ΔS[:,j]‖₂ the
+	// Woodbury correction carries against the stored base S̃ (and its ILU
+	// factors); driftBase is ‖S̃‖F. Engine.Drift derives the relative score from them.
 	driftCols map[int]float64
 	driftBase float64
 
@@ -329,14 +288,13 @@ func (e *Engine) SetKernelHook(f func(kernel string, seconds float64, bytes int6
 
 // poolFor resolves the Parallelism option to a pool: 0 shares the
 // process-wide pool, 1 is serial (nil pool), n > 1 is a dedicated sticky
-// pool — persistent workers with a deterministic chunk assignment, locked
-// to OS threads when pin is set.
-func poolFor(parallelism int, pin bool) *par.Pool {
+// pool — persistent workers with a deterministic chunk assignment.
+func poolFor(parallelism int) *par.Pool {
 	switch {
 	case parallelism == 1:
 		return nil
 	case parallelism > 1:
-		return par.NewStickyPool(parallelism, pin)
+		return par.NewStickyPool(parallelism)
 	default:
 		return par.Shared()
 	}
@@ -349,11 +307,8 @@ func poolFor(parallelism int, pin bool) *par.Pool {
 // partition segment so the pages it will stream every apply are placed
 // local to it.
 func (e *Engine) attachPool() {
-	for _, m := range []mat{e.h12, e.h21, e.h31, e.h32, e.schur, e.h22} {
-		if m != nil {
-			matSetPool(m, e.pool)
-			matFirstTouch(m)
-		}
+	for _, m := range []*sparse.CSR32{e.h12, e.h21, e.h31, e.h32, e.schur} {
+		m.SetPool(e.pool).FirstTouch()
 	}
 	if e.ilu != nil {
 		e.ilu.SetPool(e.pool)
@@ -361,58 +316,25 @@ func (e *Engine) attachPool() {
 	e.prep.Workers = e.pool.Workers()
 }
 
-// WarmupKernels runs the process-wide kernel calibrations an engine's hot
-// paths depend on: the prefetch-distance micro-probe (unless a distance was
-// set explicitly). Executors call it once at construction; it is cheap
-// after the first call.
-func WarmupKernels() {
-	sparse.AutoTunePrefetch()
-}
-
-// setCompactMatrices converts every stored matrix (and the ILU factors)
-// to the requested layout in place. Narrowing shares the value slices, so
-// only the index arrays are rebuilt; widening a compacted ILU re-factors
-// it from the (widened) Schur complement, which reproduces the original
-// factors exactly.
-func (e *Engine) setCompactMatrices(on bool) {
-	conv := widenMat
-	if on {
-		conv = compactMat
-	}
-	e.h12, e.h21, e.h31, e.h32 = conv(e.h12), conv(e.h21), conv(e.h31), conv(e.h32)
-	e.schur = conv(e.schur)
-	e.h22 = conv(e.h22)
-	e.h22x = conv(e.h22x)
+// setMatrices narrows the wide partition blocks and Schur complement into
+// the engine's compact layout, and compacts the ILU factors. Narrowing
+// shares the value slices, so only the index arrays are rebuilt.
+func (e *Engine) setMatrices(h12, h21, h31, h32, schur *sparse.CSR) {
+	e.h12, e.h21 = sparse.Compact(h12), sparse.Compact(h21)
+	e.h31, e.h32 = sparse.Compact(h31), sparse.Compact(h32)
+	e.schur = sparse.Compact(schur)
 	if e.ilu != nil {
-		if on {
-			e.ilu.Compact()
-		} else if e.ilu.Compacted() {
-			if f, err := lu.FactorILU0(asCSR(e.schur)); err == nil {
-				e.ilu = f
-			}
-		}
+		e.ilu.Compact()
 	}
-	e.attachPool()
 }
 
-// SetCompact switches the engine between the wide CSR and compact CSR32
-// layouts at runtime (the same knob as Options.Compact, for engines
-// already built or loaded). It must not race with in-flight queries.
-// Query results are bit-identical in either layout; only MemoryBytes and
-// the bandwidth the kernels stream change.
-func (e *Engine) SetCompact(on bool) {
-	if on {
-		e.opts.Compact = CompactOn
-	} else {
-		e.opts.Compact = CompactOff
+// checkIndexRange rejects graphs whose node count exceeds the uint32 index
+// range of the compact layout the engine stores its matrices in.
+func checkIndexRange(n int) error {
+	if !sparse.FitsCompact(n, n) {
+		return fmt.Errorf("core: %d nodes exceed the uint32 index range", n)
 	}
-	e.setCompactMatrices(on)
-}
-
-// Compacted reports whether the stored matrices use the compact layout.
-func (e *Engine) Compacted() bool {
-	_, ok := e.schur.(*sparse.CSR32)
-	return ok
+	return nil
 }
 
 // SetParallelism re-points the engine (and its matrices) at a pool for the
@@ -421,22 +343,8 @@ func (e *Engine) Compacted() bool {
 // it must not race with in-flight queries.
 func (e *Engine) SetParallelism(n int) {
 	e.opts.Parallelism = n
-	e.pool = poolFor(n, e.opts.PinWorkers)
+	e.pool = poolFor(n)
 	e.attachPool()
-}
-
-// SetPinWorkers records the worker-pinning preference (Options.PinWorkers)
-// and, when the engine runs a dedicated pool, rebuilds it accordingly. Call
-// before serving queries; it must not race with in-flight solves.
-func (e *Engine) SetPinWorkers(on bool) {
-	if e.opts.PinWorkers == on {
-		return
-	}
-	e.opts.PinWorkers = on
-	if e.opts.Parallelism > 1 {
-		e.pool = poolFor(e.opts.Parallelism, on)
-		e.attachPool()
-	}
 }
 
 // Pool exposes the engine's compute pool (nil means serial).
@@ -446,9 +354,12 @@ func (e *Engine) Pool() *par.Pool { return e.pool }
 // engine.
 func Preprocess(g *graph.Graph, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
+	if err := checkIndexRange(g.N()); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 
-	e := &Engine{opts: opts, n: g.N(), pool: poolFor(opts.Parallelism, opts.PinWorkers)}
+	e := &Engine{opts: opts, n: g.N(), pool: poolFor(opts.Parallelism)}
 	e.prep.N, e.prep.M = g.N(), g.M()
 	e.prep.HubRatio = opts.HubRatio
 	e.prep.Workers = e.pool.Workers()
@@ -478,8 +389,11 @@ func PreprocessWithOrdering(g *graph.Graph, opts Options, ord *reorder.Ordering)
 	if err := ord.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid ordering: %w", err)
 	}
+	if err := checkIndexRange(g.N()); err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	e := &Engine{opts: opts, n: g.N(), ord: ord, pool: poolFor(opts.Parallelism, opts.PinWorkers)}
+	e := &Engine{opts: opts, n: g.N(), ord: ord, pool: poolFor(opts.Parallelism)}
 	e.prep.N, e.prep.M = g.N(), g.M()
 	e.prep.HubRatio = opts.HubRatio
 	e.prep.Workers = e.pool.Workers()
@@ -509,14 +423,8 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 	h12 := h.Block(0, n1, n1, l)
 	h21 := h.Block(n1, l, 0, n1)
 	h22 := h.Block(n1, l, n1, l)
-	e.h12, e.h21 = h12, h21
-	e.h31 = h.Block(l, e.n, 0, n1)
-	e.h32 = h.Block(l, e.n, n1, l)
-	if opts.ImplicitSchur {
-		e.h22 = h22
-	} else {
-		e.h22x = h22
-	}
+	h31 := h.Block(l, e.n, 0, n1)
+	h32 := h.Block(l, e.n, n1, l)
 	e.prep.BuildH = time.Since(t0)
 	if err := deadline(); err != nil {
 		return nil, err
@@ -543,7 +451,6 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 	// SchurComplement rebuild them.
 	t0 = time.Now()
 	schur := SchurComplementT(h22, h21.Transpose(), h12.Transpose(), e.h11LU, e.pool)
-	e.schur = schur
 	e.prep.Schur = time.Since(t0)
 	e.prep.SchurNNZ = schur.NNZ()
 	if err := deadline(); err != nil {
@@ -560,11 +467,9 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 		}
 		e.prep.ILU = time.Since(t0)
 	}
-	// 6. Narrow the index arrays (default on): the wide copies are dropped
-	// here, so the budget check below sees the footprint queries will pay.
-	if opts.Compact != CompactOff {
-		e.setCompactMatrices(true)
-	}
+	// 6. Narrow the index arrays: the wide copies are dropped here, so the
+	// budget check below sees the footprint queries will pay.
+	e.setMatrices(h12, h21, h31, h32, schur)
 	e.prep.Total = time.Since(start)
 	if opts.MemoryBudget > 0 && e.MemoryBytes() > opts.MemoryBudget {
 		return nil, fmt.Errorf("preprocessed data needs %d bytes: %w", e.MemoryBytes(), ErrMemoryBudget)
@@ -726,26 +631,19 @@ func (e *Engine) PrepStats() PrepStats { return e.prep }
 // Ordering exposes the node ordering (for experiments).
 func (e *Engine) Ordering() *reorder.Ordering { return e.ord }
 
-// Schur exposes the Schur complement (for experiments; read-only). When
-// the engine stores the compact layout this is a widened copy.
-func (e *Engine) Schur() *sparse.CSR { return asCSR(e.schur) }
+// Schur exposes the Schur complement (for experiments; read-only) as a
+// widened copy of the stored compact matrix.
+func (e *Engine) Schur() *sparse.CSR { return e.schur.ToCSR() }
 
 // MemoryBytes reports the total footprint of the preprocessed data:
-// the H11 LU factors, the partition blocks H12/H21/H31/H32 (plus H22 when
-// the engine applies the Schur complement implicitly), the Schur
-// complement, and (for full BePI) its ILU factors, all at their current
-// index width. This is the quantity in Figure 1(b) of the paper.
+// the H11 LU factors, the partition blocks H12/H21/H31/H32, the Schur
+// complement, and (for full BePI) its ILU factors, all in the stored
+// compact layout. This is the quantity in Figure 1(b) of the paper.
 func (e *Engine) MemoryBytes() int64 {
 	total := e.h11LU.MemoryBytes() +
 		e.h12.MemoryBytes() + e.h21.MemoryBytes() +
 		e.h31.MemoryBytes() + e.h32.MemoryBytes() +
 		e.schur.MemoryBytes()
-	if e.h22 != nil {
-		total += e.h22.MemoryBytes()
-	}
-	if e.h22x != nil {
-		total += e.h22x.MemoryBytes()
-	}
 	if e.ilu != nil {
 		total += e.ilu.MemoryBytes()
 	}

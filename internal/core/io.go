@@ -36,8 +36,7 @@ const indexMagic = 0x42504931
 // Engines carrying a Woodbury correction refuse: their stored S is the base
 // of a low-rank update, not the served graph's Schur complement, and the
 // correction state is deliberately not part of the format. Run a full
-// rebuild first. (Implicit-operator delta engines patch S in place and stay
-// serializable.)
+// rebuild first.
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	if e.wood != nil {
 		return 0, errors.New("core: cannot serialize a Woodbury-corrected engine; run a full rebuild first")
@@ -92,10 +91,10 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	if err := bw.Flush(); err != nil {
 		return n, err
 	}
-	// Matrices are serialized in the wide layout regardless of the in-memory
-	// one, so the on-disk format is independent of Options.Compact.
-	for _, m := range []mat{e.h12, e.h21, e.h31, e.h32, e.schur} {
-		k, err := asCSR(m).WriteTo(w)
+	// Matrices are serialized in the wide layout, so the on-disk format is
+	// independent of the in-memory one.
+	for _, m := range []*sparse.CSR32{e.h12, e.h21, e.h31, e.h32, e.schur} {
+		k, err := m.ToCSR().WriteTo(w)
 		n += k
 		if err != nil {
 			return n, err
@@ -180,11 +179,14 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 		return nil, fmt.Errorf("core: corrupt index header (n=%d partition=%d+%d+%d)",
 			e.n, ord.N1, ord.N2, ord.N3)
 	}
-	ord.Perm = make([]int, e.n)
-	for i := range ord.Perm {
-		if ord.Perm[i], err = readI(); err != nil {
-			return nil, fmt.Errorf("core: reading permutation: %w", err)
-		}
+	if err := checkIndexRange(e.n); err != nil {
+		return nil, err
+	}
+	// The arrays are read chunk by chunk, so a forged header claiming a huge
+	// n or block count fails with an EOF once the stream runs dry instead of
+	// attempting one giant allocation up front.
+	if ord.Perm, err = sparse.ReadIntArray(br, e.n); err != nil {
+		return nil, fmt.Errorf("core: reading permutation: %w", err)
 	}
 	ord.Inv = make([]int, e.n)
 	for old, nw := range ord.Perm {
@@ -193,11 +195,8 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 		}
 		ord.Inv[nw] = old
 	}
-	ord.Blocks = make([]int, nblocks)
-	for i := range ord.Blocks {
-		if ord.Blocks[i], err = readI(); err != nil {
-			return nil, fmt.Errorf("core: reading blocks: %w", err)
-		}
+	if ord.Blocks, err = sparse.ReadIntArray(br, nblocks); err != nil {
+		return nil, fmt.Errorf("core: reading blocks: %w", err)
 	}
 	if err := ord.Validate(); err != nil {
 		return nil, fmt.Errorf("core: stored ordering invalid: %w", err)
@@ -212,7 +211,6 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 		}
 		mats[i] = m
 	}
-	e.h12, e.h21, e.h31, e.h32, e.schur = mats[0], mats[1], mats[2], mats[3], mats[4]
 	if e.h11LU, err = lu.ReadBlockLU(br); err != nil {
 		return nil, err
 	}
@@ -223,16 +221,19 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 		}
 		e.prep.ILU = time.Since(t0)
 	}
+	e.setMatrices(mats[0], mats[1], mats[2], mats[3], mats[4])
+	// Options the format does not store (MaxHubDrift) take their defaults,
+	// exactly as on a freshly built engine.
+	e.opts = e.opts.withDefaults()
 	e.prep.N = e.n
 	e.prep.N1, e.prep.N2, e.prep.N3 = ord.N1, ord.N2, ord.N3
 	e.prep.Blocks = nblocks
 	e.prep.SchurNNZ = e.schur.NNZ()
 	e.prep.HubRatio = e.opts.HubRatio
-	// Parallelism and index compaction are runtime knobs, not part of the
-	// index format: a loaded engine starts on the shared process-wide pool
-	// with compacted indexes (the CompactAuto default); callers tune both
-	// with SetParallelism / SetCompact before serving.
-	e.pool = poolFor(0, false)
-	e.setCompactMatrices(true)
+	// Parallelism is a runtime knob, not part of the index format: a loaded
+	// engine starts on the shared process-wide pool; callers tune it with
+	// SetParallelism before serving.
+	e.pool = poolFor(0)
+	e.attachPool()
 	return e, nil
 }

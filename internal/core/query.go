@@ -30,27 +30,37 @@ func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
 	return e.QueryVectorWS(context.Background(), q, nil)
 }
 
+// Kernel names reported through SetKernelHook.
+const (
+	// KernelSchur is one application of the Schur operator (the SpMV on S)
+	// inside an iterative solve.
+	KernelSchur = "schur"
+	// KernelPrecond is one application of the ILU(0) preconditioner.
+	KernelPrecond = "precond"
+)
+
 // solveSchur runs the configured iterative solver on S·r2 = q̃2.
 func (e *Engine) solveSchur(qt2 []float64, cb func(int, []float64)) ([]float64, solver.Stats, error) {
-	return e.solveSchurCtx(context.Background(), qt2, e.schurOperator(nil), nil, cb)
+	return e.solveSchurCtx(context.Background(), qt2, nil, cb)
 }
 
 // solveSchurCtx is solveSchur with a cancellation context threaded into the
-// iterative solver, an explicit Schur operator (see Engine.schurOperator),
-// and an optional reusable Krylov workspace. With a workspace, the returned
-// solution points into it and is only valid until the next solve on that
-// workspace.
-func (e *Engine) solveSchurCtx(ctx context.Context, qt2 []float64, op solver.Operator, ws *solver.Workspace, cb func(int, []float64)) ([]float64, solver.Stats, error) {
-	op, opts := e.schurSolveOptions(ctx, op, ws)
+// iterative solver and an optional reusable Krylov workspace. With a
+// workspace, the returned solution points into it and is only valid until
+// the next solve on that workspace.
+func (e *Engine) solveSchurCtx(ctx context.Context, qt2 []float64, ws *solver.Workspace, cb func(int, []float64)) ([]float64, solver.Stats, error) {
+	op, opts := e.schurSolveOptions(ctx, ws)
 	opts.Callback = cb
 	return e.runSchurSolve(op, qt2, opts)
 }
 
-// schurSolveOptions builds the solver options every Schur solve shares —
-// tolerance, iteration budget, preconditioner, telemetry hooks — and wraps
-// the operator/preconditioner with the kernel-timing shims when installed.
+// schurSolveOptions returns the operator every Schur solve runs on — the
+// stored S — and the solver options they share: tolerance, iteration
+// budget, preconditioner, telemetry hooks. The operator and preconditioner
+// are wrapped with the kernel-timing shims when a kernel hook is installed.
 // Callers add their per-solve hooks (Callback, Probe, StopWhen) on top.
-func (e *Engine) schurSolveOptions(ctx context.Context, op solver.Operator, ws *solver.Workspace) (solver.Operator, solver.GMRESOptions) {
+func (e *Engine) schurSolveOptions(ctx context.Context, ws *solver.Workspace) (solver.Operator, solver.GMRESOptions) {
+	var op solver.Operator = e.schur
 	opts := solver.GMRESOptions{
 		Tol:         e.opts.Tol,
 		MaxIter:     e.opts.MaxIter,
@@ -63,7 +73,9 @@ func (e *Engine) schurSolveOptions(ctx context.Context, op solver.Operator, ws *
 		opts.Precond = e.ilu
 	}
 	if hook := e.kernelHook; hook != nil {
-		op = &timedOperator{op: op, hook: hook, kernel: KernelSchur, bytes: e.schurApplyBytes()}
+		// One application streams S plus the input and output vectors.
+		op = &timedOperator{op: op, hook: hook, kernel: KernelSchur,
+			bytes: e.schur.MemoryBytes() + int64(16*e.ord.N2)}
 		if opts.Precond != nil {
 			opts.Precond = &timedPrecond{pre: opts.Precond, hook: hook, kernel: KernelPrecond,
 				bytes: e.ilu.MemoryBytes() + int64(16*e.ord.N2)}
@@ -259,4 +271,33 @@ func RankTopKFunc(scores []float64, k int, skip func(node int) bool) []Ranked {
 	}
 	sort.Slice(h, func(i, j int) bool { return outranks(h[i], h[j]) })
 	return h
+}
+
+// timedOperator wraps an operator to report each application through the
+// engine's kernel hook.
+type timedOperator struct {
+	op     solver.Operator
+	hook   func(kernel string, seconds float64, bytes int64)
+	kernel string
+	bytes  int64
+}
+
+func (t *timedOperator) MulVec(dst, x []float64) {
+	start := time.Now()
+	t.op.MulVec(dst, x)
+	t.hook(t.kernel, time.Since(start).Seconds(), t.bytes)
+}
+
+// timedPrecond is timedOperator for preconditioner applications.
+type timedPrecond struct {
+	pre    solver.Preconditioner
+	hook   func(kernel string, seconds float64, bytes int64)
+	kernel string
+	bytes  int64
+}
+
+func (t *timedPrecond) Apply(dst, src []float64) {
+	start := time.Now()
+	t.pre.Apply(dst, src)
+	t.hook(t.kernel, time.Since(start).Seconds(), t.bytes)
 }

@@ -8,22 +8,22 @@ import (
 	"bepi/internal/gen"
 )
 
-// TestStickyPinnedEngineBitIdentical: an engine on a dedicated pool gets
-// sticky workers and first-touched matrices, optionally pinned to OS
-// threads — placement machinery that must leave every query answer
-// bit-identical to the serial engine.
-func TestStickyPinnedEngineBitIdentical(t *testing.T) {
+// TestStickyEngineBitIdentical: an engine on a dedicated pool gets sticky
+// workers and first-touched matrices — placement machinery that must leave
+// every query answer bit-identical to the serial engine.
+func TestStickyEngineBitIdentical(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 15))
 	serial, err := Preprocess(g, Options{Variant: VariantFull, Tol: 1e-10, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := Preprocess(g, Options{Variant: VariantFull, Tol: 1e-10, Parallelism: 4, PinWorkers: true})
+	sticky, err := Preprocess(g, Options{Variant: VariantFull, Tol: 1e-10, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := pinned.Pool(); !p.Sticky() || !p.Pinned() {
-		t.Fatalf("Parallelism=4 PinWorkers=true: Sticky()=%v Pinned()=%v", p.Sticky(), p.Pinned())
+	defer sticky.Pool().Close()
+	if !sticky.Pool().Sticky() {
+		t.Fatal("Parallelism=4 engine does not run a sticky pool")
 	}
 	rng := rand.New(rand.NewSource(17))
 	for q := 0; q < 5; q++ {
@@ -32,34 +32,14 @@ func TestStickyPinnedEngineBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		got, _, err := pinned.Query(seed)
+		got, _, err := sticky.Query(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("seed %d: r[%d] = %v pinned vs %v serial", seed, i, got[i], want[i])
+				t.Fatalf("seed %d: r[%d] = %v sticky vs %v serial", seed, i, got[i], want[i])
 			}
-		}
-	}
-
-	// Toggling the preference rebuilds the dedicated pool in place.
-	pinned.SetPinWorkers(false)
-	if p := pinned.Pool(); !p.Sticky() || p.Pinned() {
-		t.Fatalf("after SetPinWorkers(false): Sticky()=%v Pinned()=%v", p.Sticky(), p.Pinned())
-	}
-	seed := rng.Intn(g.N())
-	want, _, err := serial.Query(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := pinned.Query(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("after toggle: r[%d] = %v vs %v", i, got[i], want[i])
 		}
 	}
 }

@@ -148,7 +148,7 @@ func (e *Engine) TopKBoundedBatch(ctxs []context.Context, qs [][]float64, exclud
 	permuteDur := e.permutePhase(ws, qs, active)
 	forwardDur := e.forwardPhase(ws, active)
 
-	op, baseOpts := e.schurSolveOptions(context.Background(), e.schurOperator(ws), &ws.slv)
+	op, baseOpts := e.schurSolveOptions(context.Background(), &ws.slv)
 	solved := make([]int, 0, len(active))
 	chks := make([]*tkChecker, K)
 	for _, slot := range active {

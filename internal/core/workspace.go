@@ -23,11 +23,6 @@ type Workspace struct {
 	// slots, reused across phases.
 	sel [7][][]float64
 	slv solver.Workspace
-	// schurOp is this workspace's fused Schur operator (engines built with
-	// Options.ImplicitSchur only): its n1-length temporary is owned here so
-	// concurrent workspaces never share one and repeated solves allocate
-	// nothing. Built lazily by Engine.schurOperator.
-	schurOp *SchurOperator
 	// tkScores (length n, permuted order) is the bounded top-k search's
 	// scratch: the mid-solve score snapshot the gap checks rank. One buffer
 	// serves a whole batch — the per-item Schur solves run sequentially.
@@ -113,11 +108,10 @@ func (e *Engine) QueryVectorBatch(ctxs []context.Context, qs [][]float64, ws *Wo
 
 	// Solve S·r2 = q̃2 per query (line 4) — iterative, so per-query
 	// contexts apply here; the Krylov workspace is shared sequentially.
-	op := e.schurOperator(ws)
 	solved := make([]int, 0, len(active))
 	for _, k := range active {
 		tSolve := time.Now()
-		r2, st, err := e.solveSchurCtx(batchCtx(ctxs, k), ws.qt2s[k], op, &ws.slv, nil)
+		r2, st, err := e.solveSchurCtx(batchCtx(ctxs, k), ws.qt2s[k], &ws.slv, nil)
 		stats[k].Iterations, stats[k].Residual = st.Iterations, st.Residual
 		stats[k].Stages.Solve = time.Since(tSolve)
 		if err != nil {

@@ -64,8 +64,7 @@ type Observer struct {
 	// query.
 	Residual *Histogram
 	// SchurApply observes the wall time of each Schur-operator application
-	// (one SpMV with the explicit S, or the fused
-	// H22·x − H21·(H11⁻¹·(H12·x)) chain), in seconds — the dominant
+	// (one SpMV with the explicit S), in seconds — the dominant
 	// per-iteration kernel.
 	SchurApply *Histogram
 	// PrecondApply observes the wall time of each ILU(0) preconditioner

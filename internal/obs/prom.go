@@ -143,7 +143,6 @@ func WriteBuildInfo(p *PromWriter, b BuildInfo) {
 		map[string]string{
 			"version":    b.Version,
 			"go_version": b.GoVersion,
-			"compact":    b.Compact,
 		})
 }
 

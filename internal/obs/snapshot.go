@@ -36,7 +36,6 @@ type MetricsSnapshot struct {
 type BuildInfo struct {
 	Version   string `json:"version,omitempty"`
 	GoVersion string `json:"go_version,omitempty"`
-	Compact   string `json:"compact,omitempty"`
 }
 
 // HistogramSnapshots exports every histogram the observer carries, keyed by

@@ -40,11 +40,10 @@ type Pool struct {
 	// of a sticky pool (NewStickyPool). Chunk c > 0 of every ForBounds is
 	// first offered to worker (c-1) mod len(sticky), so repeated kernel
 	// invocations with the same partition land each chunk on the same
-	// goroutine (and, when pinned, the same OS thread). That keeps a
-	// chunk's output range and first-touched matrix pages local to one
-	// worker across applies — the NUMA story behind CSR.FirstTouch.
+	// goroutine. That keeps a chunk's output range and first-touched matrix
+	// pages local to one worker across applies — the NUMA story behind
+	// CSR.FirstTouch.
 	sticky []chan func()
-	pinned bool
 	closed sync.Once
 }
 
@@ -63,37 +62,31 @@ func NewPool(workers int) *Pool {
 }
 
 // NewStickyPool returns a pool whose workers are persistent goroutines with
-// a deterministic chunk→worker assignment (see the sticky field). With pin
-// set, each worker wires itself to an OS thread via runtime.LockOSThread so
-// the OS scheduler cannot migrate it between first-touching pages and
-// streaming them later. Dispatch stays non-blocking: a chunk whose owner is
+// a deterministic chunk→worker assignment (see the sticky field). Dispatch
+// stays non-blocking: a chunk whose owner is
 // busy runs inline on the submitter, so the no-deadlock-under-nesting rule
 // holds and results remain bit-identical (chunks write disjoint ranges
 // regardless of where they run).
 //
 // Idle workers cost a parked goroutine each; Close releases them. Using the
 // pool after Close panics, so only close a pool no kernel will touch again.
-func NewStickyPool(workers int, pin bool) *Pool {
+func NewStickyPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, pinned: pin && workers > 1}
+	p := &Pool{workers: workers}
 	if workers > 1 {
 		p.sticky = make([]chan func(), workers-1)
 		for w := range p.sticky {
 			ch := make(chan func())
 			p.sticky[w] = ch
-			go stickyWorker(ch, p.pinned)
+			go stickyWorker(ch)
 		}
 	}
 	return p
 }
 
-func stickyWorker(ch <-chan func(), pin bool) {
-	if pin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
+func stickyWorker(ch <-chan func()) {
 	for f := range ch {
 		f()
 	}
@@ -101,9 +94,6 @@ func stickyWorker(ch <-chan func(), pin bool) {
 
 // Sticky reports whether the pool has persistent sticky workers.
 func (p *Pool) Sticky() bool { return p != nil && p.sticky != nil }
-
-// Pinned reports whether the pool's sticky workers are locked to OS threads.
-func (p *Pool) Pinned() bool { return p != nil && p.pinned }
 
 // Close shuts down a sticky pool's persistent workers. It is idempotent and
 // a no-op on nil or non-sticky pools. The caller must ensure no ForBounds is

@@ -9,7 +9,7 @@ import (
 // every index exactly once at any worker count, like the semaphore path.
 func TestStickyPoolCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
-		p := NewStickyPool(workers, false)
+		p := NewStickyPool(workers)
 		for _, n := range []int{0, 1, 3, 1000} {
 			counts := make([]int32, n)
 			p.For(n, func(_, lo, hi int) {
@@ -31,7 +31,7 @@ func TestStickyPoolCoversEveryIndexOnce(t *testing.T) {
 // than workers, so the modular chunk→worker assignment wraps and the inline
 // fallback fires for chunks whose owner is busy.
 func TestStickyPoolMoreChunksThanWorkers(t *testing.T) {
-	p := NewStickyPool(3, false)
+	p := NewStickyPool(3)
 	defer p.Close()
 	const n, parts = 700, 29
 	bounds := ChunkBounds(n, parts)
@@ -54,7 +54,7 @@ func TestStickyPoolMoreChunksThanWorkers(t *testing.T) {
 // inline-fallback guarantee when a sticky worker's task itself dispatches on
 // the same pool.
 func TestStickyPoolNestedNoDeadlock(t *testing.T) {
-	p := NewStickyPool(2, false)
+	p := NewStickyPool(2)
 	defer p.Close()
 	var total int64
 	p.For(8, func(_, lo, hi int) {
@@ -71,35 +71,13 @@ func TestStickyPoolNestedNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestStickyPoolPinned: pinning is a placement hint, not a semantic change —
-// a pinned pool must produce the same coverage, and the accessors must
-// report the configuration.
-func TestStickyPoolPinned(t *testing.T) {
-	p := NewStickyPool(4, true)
-	defer p.Close()
-	if !p.Sticky() || !p.Pinned() {
-		t.Fatalf("Sticky()=%v Pinned()=%v, want true,true", p.Sticky(), p.Pinned())
-	}
-	const n = 2000
-	counts := make([]int32, n)
-	for rep := 0; rep < 10; rep++ {
-		p.Each(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
-	}
-	for i, c := range counts {
-		if c != 10 {
-			t.Fatalf("pinned pool: index %d visited %d times", i, c)
-		}
-	}
-}
-
 // TestStickyPoolAccessors covers the degenerate configurations: one-worker
-// sticky pools run inline (no workers to pin), plain pools and nil pools
+// sticky pools run inline (no workers to spawn), plain pools and nil pools
 // are never sticky, and Close is idempotent and safe on all of them.
 func TestStickyPoolAccessors(t *testing.T) {
-	one := NewStickyPool(1, true)
-	if one.Sticky() || one.Pinned() {
-		t.Fatalf("one-worker sticky pool: Sticky()=%v Pinned()=%v, want false,false",
-			one.Sticky(), one.Pinned())
+	one := NewStickyPool(1)
+	if one.Sticky() {
+		t.Fatal("one-worker sticky pool claims to be sticky")
 	}
 	calls := 0
 	one.For(5, func(chunk, lo, hi int) { calls++ })
@@ -108,23 +86,23 @@ func TestStickyPoolAccessors(t *testing.T) {
 	}
 
 	plain := NewPool(4)
-	if plain.Sticky() || plain.Pinned() {
-		t.Fatal("plain pool claims to be sticky or pinned")
+	if plain.Sticky() {
+		t.Fatal("plain pool claims to be sticky")
 	}
 	var nilPool *Pool
-	if nilPool.Sticky() || nilPool.Pinned() {
-		t.Fatal("nil pool claims to be sticky or pinned")
+	if nilPool.Sticky() {
+		t.Fatal("nil pool claims to be sticky")
 	}
 
 	// Close: idempotent on sticky pools, a no-op everywhere else.
-	p := NewStickyPool(4, false)
+	p := NewStickyPool(4)
 	p.Close()
 	p.Close()
 	one.Close()
 	plain.Close()
 	nilPool.Close()
 
-	if NewStickyPool(0, false).Workers() < 1 {
+	if NewStickyPool(0).Workers() < 1 {
 		t.Fatal("NewStickyPool(0) must default to GOMAXPROCS")
 	}
 }
@@ -133,7 +111,7 @@ func TestStickyPoolAccessors(t *testing.T) {
 // pool: the per-worker channels are contended, so most chunks fall back
 // inline, and every submission must still complete with the right sum.
 func TestStickyPoolConcurrentFor(t *testing.T) {
-	p := NewStickyPool(4, false)
+	p := NewStickyPool(4)
 	defer p.Close()
 	const goroutines, n = 8, 2000
 	done := make(chan int64, goroutines)

@@ -109,15 +109,10 @@ func NewDynamicCore(d *bepi.Dynamic, cfg qexec.Config) *Core {
 	return c
 }
 
-// BuildInfo reports the running build's identity: module version, Go
-// toolchain, and whether the serving engine uses the compact (CSR32) matrix
-// layout.
+// BuildInfo reports the running build's identity: module version and Go
+// toolchain.
 func (c *Core) BuildInfo() obs.BuildInfo {
-	compact := "off"
-	if c.Engine().Internal().Compacted() {
-		compact = "on"
-	}
-	return obs.BuildInfo{Version: bepi.Version, GoVersion: runtime.Version(), Compact: compact}
+	return obs.BuildInfo{Version: bepi.Version, GoVersion: runtime.Version()}
 }
 
 // MetricsSnapshot exports this core's metrics in the mergeable form the
@@ -171,9 +166,7 @@ func (c *Core) Close() { c.exec.Close() }
 // IndexFingerprint hashes the quantities that determine an engine's
 // answers — graph size, partition, Schur structure, and solver options —
 // into a short hex tag. Two replicas that preprocessed the same graph with
-// the same options fingerprint identically regardless of matrix layout
-// (compact vs wide CSR produce bit-identical scores); any edge update
-// changes it. The cluster coordinator uses equality of this tag (plus the
+// the same options fingerprint identically; any edge update changes it. The cluster coordinator uses equality of this tag (plus the
 // generation) as its merge guard.
 func IndexFingerprint(eng *bepi.Engine) string {
 	st := eng.Internal().PrepStats()
@@ -414,17 +407,17 @@ func (c *Core) Personalized(ctx context.Context, weights map[int]float64, topk i
 			c.errors.Add(1)
 			return PersonalizedResponse{}, badRequest("node id %d out of range [0,%d)", node, len(q))
 		}
-		if v < 0 {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			c.errors.Add(1)
-			return PersonalizedResponse{}, badRequest("negative weight for node %d", node)
+			return PersonalizedResponse{}, badRequest("weight for node %d must be finite and non-negative", node)
 		}
 		q[node] += v
 		sum += v
 		seeds[node] = true
 	}
-	if sum <= 0 {
+	if sum <= 0 || math.IsInf(sum, 0) {
 		c.errors.Add(1)
-		return PersonalizedResponse{}, badRequest("weights must sum to a positive value")
+		return PersonalizedResponse{}, badRequest("weights must sum to a positive finite value")
 	}
 	for i := range q {
 		q[i] /= sum
@@ -521,8 +514,6 @@ type KernelMetrics struct {
 	StreamBytesPerSec float64 `json:"stream_bytes_per_second"`
 	// PctOfStream is 100·Achieved/Stream.
 	PctOfStream float64 `json:"pct_of_stream"`
-	// PrefetchDistance is the gather prefetch lookahead in effect (0 = off).
-	PrefetchDistance int `json:"prefetch_distance"`
 }
 
 // Stats reports the index statistics (the /stats payload).
@@ -630,7 +621,6 @@ func kernelMetrics(o *obs.Observer) KernelMetrics {
 		Seconds:             float64(o.KernelNanos.Load()) / 1e9,
 		AchievedBytesPerSec: o.AchievedBandwidth(),
 		StreamBytesPerSec:   sparse.StreamBandwidth(),
-		PrefetchDistance:    sparse.PrefetchDistance(),
 	}
 	if k.StreamBytesPerSec > 0 {
 		k.PctOfStream = 100 * k.AchievedBytesPerSec / k.StreamBytesPerSec

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -232,6 +234,39 @@ func TestPersonalizedValidation(t *testing.T) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /personalized status %d", rec.Code)
+	}
+}
+
+// TestPersonalizedRejectsNonFiniteInProcess: a NaN or infinite weight —
+// reachable in-process (LocalBackend), never through JSON — must be a 400,
+// not a NaN score vector.
+func TestPersonalizedRejectsNonFiniteInProcess(t *testing.T) {
+	s, _ := testServer(t)
+	defer s.Close()
+	for _, w := range []map[int]float64{
+		{1: math.NaN()},
+		{1: 1, 2: math.NaN()},
+		{1: math.Inf(1)},
+	} {
+		_, err := s.Core().Personalized(context.Background(), w, 5)
+		if StatusOf(err) != http.StatusBadRequest {
+			t.Errorf("weights %v: err=%v (status %d), want 400", w, err, StatusOf(err))
+		}
+	}
+}
+
+// TestPersonalizedRejectsOverflowingSumHTTP: two finite weights of 1e308
+// overflow their sum to +Inf, which would normalize every entry to zero;
+// the request must be a 400 instead of an all-zero answer.
+func TestPersonalizedRejectsOverflowingSumHTTP(t *testing.T) {
+	s, _ := testServer(t)
+	defer s.Close()
+	body := []byte(`{"weights":{"1":1e308,"2":1e308}}`)
+	req := httptest.NewRequest(http.MethodPost, "/personalized", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d want 400: %s", rec.Code, rec.Body.String())
 	}
 }
 

@@ -13,16 +13,13 @@ const maxIndex32 = int64(1) << 32
 
 // CSR32 is the bandwidth-lean, immutable counterpart of CSR: column indices
 // are uint32, row pointers are int32 when the entry count allows it (int64
-// otherwise, chosen at build time), and values are float64 by default with
-// an opt-in float32 path. Halving the index width halves the index bytes an
-// SpMV streams per stored entry, which is the dominant cost of the
-// memory-bound iteration kernels.
+// otherwise, chosen at build time), and values stay float64. Halving the
+// index width halves the index bytes an SpMV streams per stored entry,
+// which is the dominant cost of the memory-bound iteration kernels.
 //
-// The float64-valued kernels perform the exact additions and
-// multiplications of the CSR kernels in the same order, so their results
-// are bit-identical to CSR at any worker count. The float32 value path
-// (CompactFloat32) trades that for another ~4 bytes/entry and is explicitly
-// lossy; it is never chosen implicitly.
+// The kernels perform the exact additions and multiplications of the CSR
+// kernels in the same order, so their results are bit-identical to CSR at
+// any worker count.
 //
 // CSR32 is immutable after construction: there is no mutating API, and the
 // constructors reject (rather than repair) malformed input.
@@ -32,9 +29,7 @@ type CSR32 struct {
 	rowPtr32 []int32
 	rowPtr64 []int64
 	col      []uint32
-	// Exactly one of val/val32 is non-nil (val for the lossless default).
-	val   []float64
-	val32 []float32
+	val      []float64
 
 	// pool, when set, parallelizes the matvec kernels above ParallelMinNNZ
 	// by nnz-balanced row partition, exactly like CSR.
@@ -53,29 +48,10 @@ type CSR32 struct {
 // conversion is lossless: ToCSR reproduces an Equal matrix, and every
 // float64 kernel is bit-identical to its CSR counterpart.
 func Compact(m *CSR) *CSR32 {
-	c := compactIndices(m)
-	c.val = m.val
-	return c
-}
-
-// CompactFloat32 converts a CSR matrix into the compact layout with values
-// narrowed to float32. This is the opt-in lossy path: kernels widen each
-// stored value back to float64 at multiply time, so results differ from the
-// CSR kernels by the value rounding only.
-func CompactFloat32(m *CSR) *CSR32 {
-	c := compactIndices(m)
-	c.val32 = make([]float32, len(m.val))
-	for i, v := range m.val {
-		c.val32[i] = float32(v)
-	}
-	return c
-}
-
-func compactIndices(m *CSR) *CSR32 {
-	if int64(m.cols) > maxIndex32 || int64(m.rows) > maxIndex32 {
+	if !FitsCompact(m.rows, m.cols) {
 		panic(fmt.Sprintf("sparse: Compact %dx%d exceeds uint32 index range", m.rows, m.cols))
 	}
-	c := &CSR32{rows: m.rows, cols: m.cols, pool: m.pool}
+	c := &CSR32{rows: m.rows, cols: m.cols, val: m.val, pool: m.pool}
 	c.col = make([]uint32, len(m.col))
 	for i, j := range m.col {
 		c.col[i] = uint32(j)
@@ -94,10 +70,15 @@ func compactIndices(m *CSR) *CSR32 {
 		}
 	}
 	if m.tr != nil {
-		c.tr = compactIndices(m.tr)
-		c.tr.val = m.tr.val
+		c.tr = Compact(m.tr)
 	}
 	return c
+}
+
+// FitsCompact reports whether a rows×cols matrix fits the uint32 index
+// range of the compact layout.
+func FitsCompact(rows, cols int) bool {
+	return int64(rows) <= maxIndex32 && int64(cols) <= maxIndex32
 }
 
 // NewCSR32 constructs a compact matrix from raw slices with int32 row
@@ -126,9 +107,8 @@ func NewCSR32Wide(rows, cols int, rowPtr []int64, col []uint32, val []float64) *
 	return &CSR32{rows: rows, cols: cols, rowPtr64: rowPtr, col: col, val: val}
 }
 
-// ToCSR widens the matrix back to the standard CSR layout. For float64
-// values the round trip CSR -> Compact -> ToCSR is exact (Equal); for the
-// float32 path the widened values carry the float32 rounding.
+// ToCSR widens the matrix back to the standard CSR layout. The round trip
+// CSR -> Compact -> ToCSR is exact (Equal).
 func (m *CSR32) ToCSR() *CSR {
 	rowPtr := make([]int, m.rows+1)
 	if m.rowPtr32 != nil {
@@ -144,16 +124,8 @@ func (m *CSR32) ToCSR() *CSR {
 	for i, j := range m.col {
 		col[i] = int(j)
 	}
-	var val []float64
-	if m.val != nil {
-		val = make([]float64, len(m.val))
-		copy(val, m.val)
-	} else {
-		val = make([]float64, len(m.val32))
-		for i, v := range m.val32 {
-			val[i] = float64(v)
-		}
-	}
+	val := make([]float64, len(m.val))
+	copy(val, m.val)
 	return &CSR{rows: m.rows, cols: m.cols, rowPtr: rowPtr, col: col, val: val, pool: m.pool}
 }
 
@@ -165,10 +137,6 @@ func (m *CSR32) Cols() int { return m.cols }
 
 // NNZ returns the number of stored entries.
 func (m *CSR32) NNZ() int { return len(m.col) }
-
-// Float32Values reports whether the matrix stores float32 values (the
-// lossy CompactFloat32 path) rather than the default float64.
-func (m *CSR32) Float32Values() bool { return m.val32 != nil }
 
 // SetPool attaches a parallel pool and returns m; semantics match
 // CSR.SetPool (parallel above ParallelMinNNZ, bit-identical results).
@@ -198,28 +166,13 @@ func (m *CSR32) FirstTouch() *CSR32 {
 	if bounds, ok := m.parBounds(); ok {
 		if m.pool.Sticky() {
 			col := make([]uint32, len(m.col))
-			var val []float64
-			var val32 []float32
-			if m.val != nil {
-				val = make([]float64, len(m.val))
-			} else {
-				val32 = make([]float32, len(m.val32))
-			}
+			val := make([]float64, len(m.val))
 			m.pool.ForBounds(bounds, func(_, lo, hi int) {
 				s, e := m.rowStart(lo), m.rowStart(hi)
 				copy(col[s:e], m.col[s:e])
-				if val != nil {
-					copy(val[s:e], m.val[s:e])
-				} else {
-					copy(val32[s:e], m.val32[s:e])
-				}
+				copy(val[s:e], m.val[s:e])
 			})
-			m.col = col
-			if val != nil {
-				m.val = val
-			} else {
-				m.val32 = val32
-			}
+			m.col, m.val = col, val
 		}
 		m.bounds = bounds
 	}
@@ -241,12 +194,7 @@ func (m *CSR32) CacheTranspose() *CSR32 {
 	if m.tr == nil {
 		// Transpose once through the wide layout; this runs once per
 		// matrix lifetime, outside any query path.
-		wide := m.ToCSR().Transpose()
-		if m.val32 != nil {
-			m.tr = CompactFloat32(wide)
-		} else {
-			m.tr = Compact(wide)
-		}
+		m.tr = Compact(m.ToCSR().Transpose())
 		m.tr.pool = m.pool
 	}
 	return m.tr
@@ -285,40 +233,28 @@ func (m *CSR32) batchParBounds(width int) ([]int, bool) {
 	return par.BoundsByPrefixOf(m.rowPtr64, m.pool.Workers()), true
 }
 
-// The range kernels are generic over (row-pointer width × value width) so
-// the four layout combinations share one loop body each, delegating the
-// per-row accumulation to the shared gather kernels (kernels.go).
-// Instantiated with V = float64 the conversion is the identity and the
-// compiled loop performs the exact CSR operation sequence, which is what
-// keeps the float64 layouts bit-identical to CSR.
+// The range kernels are generic over the row-pointer width so both layouts
+// share one loop body each, delegating the per-row accumulation to the
+// shared gather kernels (kernels.go), which perform the exact CSR operation
+// sequence.
 
-func mulVecRange32[P int32 | int64, V float32 | float64](rowPtr []P, col []uint32, val []V, dst, x []float64, lo, hi int) {
-	d := PrefetchDistance()
+func mulVecRange32[P int32 | int64](rowPtr []P, col []uint32, val []float64, dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := rowPtr[i], rowPtr[i+1]
-		dst[i] = gatherRow4(col[start:end], val[start:end], x, d)
+		dst[i] = gatherRow4(col[start:end], val[start:end], x)
 	}
 }
 
 // mulVecRangeSeq32 is the sequential per-row gather reserved for the
 // cached-transpose MulVecT path, matching the scatter's addition order.
-func mulVecRangeSeq32[P int32 | int64, V float32 | float64](rowPtr []P, col []uint32, val []V, dst, x []float64, lo, hi int) {
-	d := PrefetchDistance()
+func mulVecRangeSeq32[P int32 | int64](rowPtr []P, col []uint32, val []float64, dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := rowPtr[i], rowPtr[i+1]
-		dst[i] = gatherRowSeq(col[start:end], val[start:end], x, d)
+		dst[i] = gatherRowSeq(col[start:end], val[start:end], x)
 	}
 }
 
-func addMulVecRange32[P int32 | int64, V float32 | float64](rowPtr []P, col []uint32, val []V, dst []float64, alpha float64, x []float64, lo, hi int) {
-	d := PrefetchDistance()
-	for i := lo; i < hi; i++ {
-		start, end := rowPtr[i], rowPtr[i+1]
-		dst[i] += alpha * gatherRow4(col[start:end], val[start:end], x, d)
-	}
-}
-
-func mulVecTScatter32[P int32 | int64, V float32 | float64](rows int, rowPtr []P, col []uint32, val []V, dst, x []float64) {
+func mulVecTScatter32[P int32 | int64](rows int, rowPtr []P, col []uint32, val []float64, dst, x []float64) {
 	for j := range dst {
 		dst[j] = 0
 	}
@@ -328,65 +264,37 @@ func mulVecTScatter32[P int32 | int64, V float32 | float64](rows int, rowPtr []P
 			continue
 		}
 		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			dst[col[p]] += float64(val[p]) * xi
+			dst[col[p]] += val[p] * xi
 		}
 	}
 }
 
 func (m *CSR32) mulVecRange(dst, x []float64, lo, hi int) {
-	switch {
-	case m.rowPtr32 != nil && m.val != nil:
+	if m.rowPtr32 != nil {
 		mulVecRange32(m.rowPtr32, m.col, m.val, dst, x, lo, hi)
-	case m.rowPtr32 != nil:
-		mulVecRange32(m.rowPtr32, m.col, m.val32, dst, x, lo, hi)
-	case m.val != nil:
+	} else {
 		mulVecRange32(m.rowPtr64, m.col, m.val, dst, x, lo, hi)
-	default:
-		mulVecRange32(m.rowPtr64, m.col, m.val32, dst, x, lo, hi)
 	}
 }
 
 func (m *CSR32) mulVecRangeSeq(dst, x []float64, lo, hi int) {
-	switch {
-	case m.rowPtr32 != nil && m.val != nil:
+	if m.rowPtr32 != nil {
 		mulVecRangeSeq32(m.rowPtr32, m.col, m.val, dst, x, lo, hi)
-	case m.rowPtr32 != nil:
-		mulVecRangeSeq32(m.rowPtr32, m.col, m.val32, dst, x, lo, hi)
-	case m.val != nil:
+	} else {
 		mulVecRangeSeq32(m.rowPtr64, m.col, m.val, dst, x, lo, hi)
-	default:
-		mulVecRangeSeq32(m.rowPtr64, m.col, m.val32, dst, x, lo, hi)
-	}
-}
-
-func (m *CSR32) addMulVecRange(dst []float64, alpha float64, x []float64, lo, hi int) {
-	switch {
-	case m.rowPtr32 != nil && m.val != nil:
-		addMulVecRange32(m.rowPtr32, m.col, m.val, dst, alpha, x, lo, hi)
-	case m.rowPtr32 != nil:
-		addMulVecRange32(m.rowPtr32, m.col, m.val32, dst, alpha, x, lo, hi)
-	case m.val != nil:
-		addMulVecRange32(m.rowPtr64, m.col, m.val, dst, alpha, x, lo, hi)
-	default:
-		addMulVecRange32(m.rowPtr64, m.col, m.val32, dst, alpha, x, lo, hi)
 	}
 }
 
 func (m *CSR32) mulVecBatchRange(dst, x [][]float64, rlo, rhi int) {
-	switch {
-	case m.rowPtr32 != nil && m.val != nil:
+	if m.rowPtr32 != nil {
 		mulVecBatchRows(m.rowPtr32, m.col, m.val, dst, x, rlo, rhi)
-	case m.rowPtr32 != nil:
-		mulVecBatchRows(m.rowPtr32, m.col, m.val32, dst, x, rlo, rhi)
-	case m.val != nil:
+	} else {
 		mulVecBatchRows(m.rowPtr64, m.col, m.val, dst, x, rlo, rhi)
-	default:
-		mulVecBatchRows(m.rowPtr64, m.col, m.val32, dst, x, rlo, rhi)
 	}
 }
 
 // MulVec computes dst = M·x with the same dimension rules, pool behavior
-// and (for float64 values) bit-identical results as CSR.MulVec.
+// and bit-identical results as CSR.MulVec.
 func (m *CSR32) MulVec(dst, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {
 		panic(fmt.Sprintf("sparse: MulVec dims dst=%d x=%d want %d,%d", len(dst), len(x), m.rows, m.cols))
@@ -434,42 +342,18 @@ func (m *CSR32) MulVecT(dst, x []float64) {
 		tr.mulVecRangeSeq(dst, x, 0, tr.rows)
 		return
 	}
-	switch {
-	case m.rowPtr32 != nil && m.val != nil:
+	if m.rowPtr32 != nil {
 		mulVecTScatter32(m.rows, m.rowPtr32, m.col, m.val, dst, x)
-	case m.rowPtr32 != nil:
-		mulVecTScatter32(m.rows, m.rowPtr32, m.col, m.val32, dst, x)
-	case m.val != nil:
-		mulVecTScatter32(m.rows, m.rowPtr64, m.col, m.val, dst, x)
-	default:
-		mulVecTScatter32(m.rows, m.rowPtr64, m.col, m.val32, dst, x)
-	}
-}
-
-// AddMulVec computes dst += alpha · M·x, row-partitioned like MulVec. It is
-// the fusion epilogue the Schur operator uses to fold the H21 term into the
-// H22 product without an intermediate vector or an extra full-vector pass.
-func (m *CSR32) AddMulVec(dst []float64, alpha float64, x []float64) {
-	if len(dst) != m.rows || len(x) != m.cols {
-		panic("sparse: AddMulVec dimension mismatch")
-	}
-	if bounds, ok := m.parBounds(); ok {
-		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.addMulVecRange(dst, alpha, x, lo, hi) })
-		return
-	}
-	m.addMulVecRange(dst, alpha, x, 0, m.rows)
-}
-
-// MemoryBytes reports the storage footprint: 8 (or 4, float32 path) bytes
-// per value, 4 per column index, and 4 or 8 per row pointer as chosen at
-// build time. Compare CSR.MemoryBytes' 16 bytes per entry + 8 per row.
-func (m *CSR32) MemoryBytes() int64 {
-	b := int64(len(m.col)) * 4
-	if m.val != nil {
-		b += int64(len(m.val)) * 8
 	} else {
-		b += int64(len(m.val32)) * 4
+		mulVecTScatter32(m.rows, m.rowPtr64, m.col, m.val, dst, x)
 	}
+}
+
+// MemoryBytes reports the storage footprint: 8 bytes per value, 4 per
+// column index, and 4 or 8 per row pointer as chosen at build time. Compare
+// CSR.MemoryBytes' 16 bytes per entry + 8 per row.
+func (m *CSR32) MemoryBytes() int64 {
+	b := int64(len(m.col)) * 12
 	if m.rowPtr32 != nil {
 		b += int64(len(m.rowPtr32)) * 4
 	} else {

@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -46,9 +45,6 @@ func TestCSR32BitIdentical(t *testing.T) {
 
 			wantMul := make([]float64, rows)
 			m.MulVec(wantMul, x)
-			wantAddInit := randVec(rows, 4)
-			wantAdd := append([]float64(nil), wantAddInit...)
-			m.AddMulVec(wantAdd, -0.7, x)
 			wantT := make([]float64, cols)
 			m.MulVecT(wantT, xt)
 			const batch = 4
@@ -70,12 +66,6 @@ func TestCSR32BitIdentical(t *testing.T) {
 				c.MulVec(got, x)
 				if i, ok := bitsEqual(got, wantMul); !ok {
 					t.Fatalf("workers=%d MulVec differs at %d: %v vs %v", workers, i, got[i], wantMul[i])
-				}
-
-				gotAdd := append([]float64(nil), wantAddInit...)
-				c.AddMulVec(gotAdd, -0.7, x)
-				if i, ok := bitsEqual(gotAdd, wantAdd); !ok {
-					t.Fatalf("workers=%d AddMulVec differs at %d", workers, i)
 				}
 
 				gotT := make([]float64, cols)
@@ -117,9 +107,6 @@ func TestCSR32RoundTripAndMemory(t *testing.T) {
 	if !c.ToCSR().Equal(m) {
 		t.Fatal("Compact -> ToCSR is not the identity")
 	}
-	if c.Float32Values() {
-		t.Fatal("Compact must keep float64 values")
-	}
 
 	// Index bytes: CSR stores 8 per col + 8 per rowPtr entry; CSR32 4+4.
 	wideIdx := int64(m.NNZ())*8 + int64(len(m.rowPtr))*8
@@ -129,37 +116,6 @@ func TestCSR32RoundTripAndMemory(t *testing.T) {
 	}
 	if c.MemoryBytes() >= m.MemoryBytes() {
 		t.Fatalf("MemoryBytes did not shrink: %d vs %d", c.MemoryBytes(), m.MemoryBytes())
-	}
-}
-
-// TestCSR32Float32Path: the opt-in float32 value path reports itself, costs
-// 4 fewer bytes per entry, and its kernels agree with the wide kernels to
-// float32 rounding.
-func TestCSR32Float32Path(t *testing.T) {
-	m := randBigCSR(600, 500, 8, 9)
-	c := CompactFloat32(m)
-	if !c.Float32Values() {
-		t.Fatal("CompactFloat32 must report float32 values")
-	}
-	if got, want := c.MemoryBytes(), Compact(m).MemoryBytes()-int64(m.NNZ())*4; got != want {
-		t.Fatalf("float32 MemoryBytes = %d want %d", got, want)
-	}
-	x := randVec(m.Cols(), 3)
-	want := make([]float64, m.Rows())
-	m.MulVec(want, x)
-	got := make([]float64, m.Rows())
-	c.MulVec(got, x)
-	for i := range got {
-		// Per-row error is bounded by the row's absolute sum times the
-		// float32 epsilon (with slack for accumulation).
-		var lim float64
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			lim += math.Abs(m.val[p] * x[m.col[p]])
-		}
-		lim = lim*1e-6 + 1e-12
-		if d := math.Abs(got[i] - want[i]); d > lim {
-			t.Fatalf("float32 MulVec row %d off by %g (limit %g)", i, d, lim)
-		}
 	}
 }
 

@@ -64,7 +64,7 @@ func BenchmarkMulVecBatchInterleaved(b *testing.B) {
 					m := mulVecBench.m.Clone()
 					var pool *par.Pool
 					if w > 1 {
-						pool = par.NewStickyPool(w, false)
+						pool = par.NewStickyPool(w)
 						defer pool.Close()
 					}
 					vecBytes := int64(width) * 8 * int64(m.Rows()+m.Cols())
@@ -97,24 +97,5 @@ func BenchmarkMulVecBatchInterleaved(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkPrefetchDistance sweeps the gather prefetch knob over the shared
-// cache-spilling fixture, serial so the effect is not hidden by parallel
-// overlap. Distance 0 is the unhinted baseline.
-func BenchmarkPrefetchDistance(b *testing.B) {
-	mulVecBenchSetup()
-	defer resetPrefetchForTest()
-	for _, d := range []int{0, 4, 8, 16} {
-		b.Run(fmt.Sprintf("dist=%d", d), func(b *testing.B) {
-			SetPrefetchDistance(d)
-			m := mulVecBench.m
-			b.SetBytes(int64(m.NNZ() * 16))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.MulVec(mulVecBench.dst, mulVecBench.x)
-			}
-		})
 	}
 }

@@ -93,14 +93,14 @@ func ReadCSR(r io.Reader) (*CSR, error) {
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("sparse: corrupt header %dx%d nnz=%d", rows, cols, nnz)
 	}
-	rowPtr, err := readIntArray(r, rows+1)
+	rowPtr, err := ReadIntArray(r, rows+1)
 	if err != nil {
 		return nil, fmt.Errorf("sparse: reading rowPtr: %w", err)
 	}
 	if rowPtr[rows] != nnz {
 		return nil, fmt.Errorf("sparse: rowPtr end %d != nnz %d", rowPtr[rows], nnz)
 	}
-	col, err := readIntArray(r, nnz)
+	col, err := ReadIntArray(r, nnz)
 	if err != nil {
 		return nil, fmt.Errorf("sparse: reading col: %w", err)
 	}
@@ -117,8 +117,8 @@ func ReadCSR(r io.Reader) (*CSR, error) {
 // giant allocation up front.
 const readChunkEntries = 1 << 16
 
-// readIntArray reads n little-endian uint64 values as ints.
-func readIntArray(r io.Reader, n int) ([]int, error) {
+// ReadIntArray reads n little-endian uint64 values as ints.
+func ReadIntArray(r io.Reader, n int) ([]int, error) {
 	out := make([]int, 0, minInt(n, readChunkEntries))
 	buf := make([]byte, 8*minInt(n, readChunkEntries))
 	for remaining := n; remaining > 0; {
@@ -135,7 +135,7 @@ func readIntArray(r io.Reader, n int) ([]int, error) {
 }
 
 // ReadFloatArray reads n little-endian float64 values, chunked like
-// readIntArray.
+// ReadIntArray.
 func ReadFloatArray(r io.Reader, n int) ([]float64, error) {
 	out := make([]float64, 0, minInt(n, readChunkEntries))
 	buf := make([]byte, 8*minInt(n, readChunkEntries))

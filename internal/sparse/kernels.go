@@ -1,45 +1,26 @@
 package sparse
 
-import "unsafe"
-
 // The row-gather kernels shared by the CSR and CSR32 layouts, generic over
-// the column-index type (int for CSR, uint32 for CSR32) and value type
-// (float64, plus CSR32's opt-in float32). Instantiated with V = float64 the
-// conversion is the identity, so both layouts compile to the exact same
-// operation sequence — that is the bit-identity contract between them.
+// the column-index type (int for CSR, uint32 for CSR32). Both layouts
+// compile to the exact same operation sequence — that is the bit-identity
+// contract between them.
 //
 // gatherRow4 is the four-lane accumulation behind MulVec, AddMulVec and the
 // per-RHS tail of MulVecBatch: four independent accumulator lanes walk the
 // row in stride-4 steps (remainder entries fold into lane 0) and combine as
 // (s0+s1)+(s2+s3). Breaking the single loop-carried FP-add chain is worth
 // ~2× on long rows; the lane order is part of the layout contract.
-//
-// dist > 0 prepends a prefetching copy of the stride-4 loop that touches
-// the gather targets dist entries ahead (see prefetch.go); it performs the
-// same arithmetic in the same order, so results are identical at any dist.
-func gatherRow4[C int | uint32, V float32 | float64](cols []C, vals []V, x []float64, dist int) float64 {
+func gatherRow4[C int | uint32](cols []C, vals []float64, x []float64) float64 {
 	var s0, s1, s2, s3 float64
 	p := 0
-	if dist > 0 {
-		for ; p+dist+4 <= len(cols); p += 4 {
-			prefetchT0(unsafe.Pointer(&x[cols[p+dist]]))
-			prefetchT0(unsafe.Pointer(&x[cols[p+dist+1]]))
-			prefetchT0(unsafe.Pointer(&x[cols[p+dist+2]]))
-			prefetchT0(unsafe.Pointer(&x[cols[p+dist+3]]))
-			s0 += float64(vals[p]) * x[cols[p]]
-			s1 += float64(vals[p+1]) * x[cols[p+1]]
-			s2 += float64(vals[p+2]) * x[cols[p+2]]
-			s3 += float64(vals[p+3]) * x[cols[p+3]]
-		}
-	}
 	for ; p+4 <= len(cols); p += 4 {
-		s0 += float64(vals[p]) * x[cols[p]]
-		s1 += float64(vals[p+1]) * x[cols[p+1]]
-		s2 += float64(vals[p+2]) * x[cols[p+2]]
-		s3 += float64(vals[p+3]) * x[cols[p+3]]
+		s0 += vals[p] * x[cols[p]]
+		s1 += vals[p+1] * x[cols[p+1]]
+		s2 += vals[p+2] * x[cols[p+2]]
+		s3 += vals[p+3] * x[cols[p+3]]
 	}
 	for ; p < len(cols); p++ {
-		s0 += float64(vals[p]) * x[cols[p]]
+		s0 += vals[p] * x[cols[p]]
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -48,18 +29,10 @@ func gatherRow4[C int | uint32, V float32 | float64](cols []C, vals []V, x []flo
 // cached-transpose MulVecT path: the scatter loop it replaces applies each
 // output element's contributions one at a time in ascending row order, and
 // only the sequential gather reproduces that addition order bit for bit.
-// Prefetch follows the same pattern as gatherRow4 without reordering sums.
-func gatherRowSeq[C int | uint32, V float32 | float64](cols []C, vals []V, x []float64, dist int) float64 {
+func gatherRowSeq[C int | uint32](cols []C, vals []float64, x []float64) float64 {
 	var s float64
-	p := 0
-	if dist > 0 {
-		for ; p+dist < len(cols); p++ {
-			prefetchT0(unsafe.Pointer(&x[cols[p+dist]]))
-			s += float64(vals[p]) * x[cols[p]]
-		}
-	}
-	for ; p < len(cols); p++ {
-		s += float64(vals[p]) * x[cols[p]]
+	for p := range cols {
+		s += vals[p] * x[cols[p]]
 	}
 	return s
 }
@@ -79,10 +52,8 @@ func gatherRowSeq[C int | uint32, V float32 | float64](cols []C, vals []V, x []f
 // collects entries p ≡ r (mod 4), the remainder folds into lane 0, and the
 // combine is (s0+s1)+(s2+s3), so every output is bit-identical to the
 // single-RHS kernel. A trailing odd RHS (so any batch of width 1) goes
-// through gatherRow4 itself. Prefetch (dist > 0) alternates the lookahead
-// touches between the pair's x vectors.
-func mulVecBatchRows[P int | int32 | int64, C int | uint32, V float32 | float64](rowPtr []P, col []C, val []V, dst, x [][]float64, rlo, rhi int) {
-	d := PrefetchDistance()
+// through gatherRow4 itself.
+func mulVecBatchRows[P int | int32 | int64, C int | uint32](rowPtr []P, col []C, val []float64, dst, x [][]float64, rlo, rhi int) {
 	for i := rlo; i < rhi; i++ {
 		lo, hi := rowPtr[i], rowPtr[i+1]
 		cols := col[lo:hi]
@@ -93,27 +64,9 @@ func mulVecBatchRows[P int | int32 | int64, C int | uint32, V float32 | float64]
 			var s00, s01, s02, s03 float64
 			var s10, s11, s12, s13 float64
 			p := 0
-			if d > 0 {
-				for ; p+d+4 <= len(cols); p += 4 {
-					prefetchT0(unsafe.Pointer(&x0[cols[p+d]]))
-					prefetchT0(unsafe.Pointer(&x1[cols[p+d+1]]))
-					prefetchT0(unsafe.Pointer(&x0[cols[p+d+2]]))
-					prefetchT0(unsafe.Pointer(&x1[cols[p+d+3]]))
-					c0, c1, c2, c3 := cols[p], cols[p+1], cols[p+2], cols[p+3]
-					v0, v1, v2, v3 := float64(vals[p]), float64(vals[p+1]), float64(vals[p+2]), float64(vals[p+3])
-					s00 += v0 * x0[c0]
-					s01 += v1 * x0[c1]
-					s02 += v2 * x0[c2]
-					s03 += v3 * x0[c3]
-					s10 += v0 * x1[c0]
-					s11 += v1 * x1[c1]
-					s12 += v2 * x1[c2]
-					s13 += v3 * x1[c3]
-				}
-			}
 			for ; p+4 <= len(cols); p += 4 {
 				c0, c1, c2, c3 := cols[p], cols[p+1], cols[p+2], cols[p+3]
-				v0, v1, v2, v3 := float64(vals[p]), float64(vals[p+1]), float64(vals[p+2]), float64(vals[p+3])
+				v0, v1, v2, v3 := vals[p], vals[p+1], vals[p+2], vals[p+3]
 				s00 += v0 * x0[c0]
 				s01 += v1 * x0[c1]
 				s02 += v2 * x0[c2]
@@ -125,7 +78,7 @@ func mulVecBatchRows[P int | int32 | int64, C int | uint32, V float32 | float64]
 			}
 			for ; p < len(cols); p++ {
 				c := cols[p]
-				v := float64(vals[p])
+				v := vals[p]
 				s00 += v * x0[c]
 				s10 += v * x1[c]
 			}
@@ -133,7 +86,7 @@ func mulVecBatchRows[P int | int32 | int64, C int | uint32, V float32 | float64]
 			dst[k+1][i] = (s10 + s11) + (s12 + s13)
 		}
 		for ; k < len(x); k++ {
-			dst[k][i] = gatherRow4(cols, vals, x[k], d)
+			dst[k][i] = gatherRow4(cols, vals, x[k])
 		}
 	}
 }

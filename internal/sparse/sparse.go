@@ -380,12 +380,11 @@ func (m *CSR) MulVec(dst, x []float64) {
 // mulVecRange is the gather loop behind MulVec and AddMulVec; the shared
 // four-lane kernel (kernels.go) does the accumulation, so CSR and CSR32
 // run the exact same sequence — which is what keeps the two layouts
-// bit-identical — with the process-wide prefetch distance applied.
+// bit-identical.
 func (m *CSR) mulVecRange(dst, x []float64, lo, hi int) {
-	d := PrefetchDistance()
 	for i := lo; i < hi; i++ {
 		start, end := m.rowPtr[i], m.rowPtr[i+1]
-		dst[i] = gatherRow4(m.col[start:end], m.val[start:end], x, d)
+		dst[i] = gatherRow4(m.col[start:end], m.val[start:end], x)
 	}
 }
 
@@ -395,10 +394,9 @@ func (m *CSR) mulVecRange(dst, x []float64, lo, hi int) {
 // in ascending row order, and only the sequential gather reproduces that
 // addition order bit for bit.
 func (m *CSR) mulVecRangeSeq(dst, x []float64, lo, hi int) {
-	d := PrefetchDistance()
 	for i := lo; i < hi; i++ {
 		start, end := m.rowPtr[i], m.rowPtr[i+1]
-		dst[i] = gatherRowSeq(m.col[start:end], m.val[start:end], x, d)
+		dst[i] = gatherRowSeq(m.col[start:end], m.val[start:end], x)
 	}
 }
 
@@ -480,10 +478,9 @@ func (m *CSR) AddMulVec(dst []float64, alpha float64, x []float64) {
 }
 
 func (m *CSR) addMulVecRange(dst []float64, alpha float64, x []float64, lo, hi int) {
-	d := PrefetchDistance()
 	for i := lo; i < hi; i++ {
 		start, end := m.rowPtr[i], m.rowPtr[i+1]
-		dst[i] += alpha * gatherRow4(m.col[start:end], m.val[start:end], x, d)
+		dst[i] += alpha * gatherRow4(m.col[start:end], m.val[start:end], x)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // TestStickyFirstTouchBitIdentical: FirstTouch on a sticky pool rewrites the
 // index/value backing arrays from the owning workers and caches the row
 // partition — neither may change any kernel's output by a single bit, in
-// either layout, pinned or not.
+// either layout.
 func TestStickyFirstTouchBitIdentical(t *testing.T) {
 	m := randBigCSR(3000, 2500, 20, 88)
 	if m.NNZ() < ParallelMinNNZ {
@@ -31,53 +31,51 @@ func TestStickyFirstTouchBitIdentical(t *testing.T) {
 	m.MulVecT(wantT, xt)
 	m.MulVecBatch(wantB, xb)
 
-	for _, pin := range []bool{false, true} {
-		for _, workers := range []int{2, 8} {
-			pool := par.NewStickyPool(workers, pin)
-			c := m.Clone().SetPool(pool)
-			c.CacheTranspose()
-			c.FirstTouch()
-			if c.bounds == nil {
-				t.Fatalf("pin=%v workers=%d: FirstTouch did not cache the partition", pin, workers)
-			}
-			if !c.Equal(m) {
-				t.Fatalf("pin=%v workers=%d: FirstTouch changed the matrix", pin, workers)
-			}
-			for rep := 0; rep < 3; rep++ {
-				got := make([]float64, m.Rows())
-				c.MulVec(got, x)
-				if i, ok := bitsEqual(got, wantMul); !ok {
-					t.Fatalf("pin=%v workers=%d MulVec differs at %d", pin, workers, i)
-				}
-				gotT := make([]float64, m.Cols())
-				c.MulVecT(gotT, xt)
-				if i, ok := bitsEqual(gotT, wantT); !ok {
-					t.Fatalf("pin=%v workers=%d MulVecT differs at %d", pin, workers, i)
-				}
-				gotB := make([][]float64, batch)
-				for k := range gotB {
-					gotB[k] = make([]float64, m.Rows())
-				}
-				c.MulVecBatch(gotB, xb)
-				for k := range gotB {
-					if i, ok := bitsEqual(gotB[k], wantB[k]); !ok {
-						t.Fatalf("pin=%v workers=%d batch rhs %d differs at %d", pin, workers, k, i)
-					}
-				}
-			}
-
-			// Compact layout through the same pool.
-			c32 := Compact(m.Clone()).SetPool(pool).FirstTouch()
-			if c32.bounds == nil {
-				t.Fatalf("pin=%v workers=%d: CSR32 FirstTouch did not cache the partition", pin, workers)
-			}
-			got := make([]float64, m.Rows())
-			c32.MulVec(got, x)
-			if i, ok := bitsEqual(got, wantMul); !ok {
-				t.Fatalf("pin=%v workers=%d CSR32 MulVec differs at %d", pin, workers, i)
-			}
-			pool.Close()
+	for _, workers := range []int{2, 8} {
+		pool := par.NewStickyPool(workers)
+		c := m.Clone().SetPool(pool)
+		c.CacheTranspose()
+		c.FirstTouch()
+		if c.bounds == nil {
+			t.Fatalf("workers=%d: FirstTouch did not cache the partition", workers)
 		}
+		if !c.Equal(m) {
+			t.Fatalf("workers=%d: FirstTouch changed the matrix", workers)
+		}
+		for rep := 0; rep < 3; rep++ {
+			got := make([]float64, m.Rows())
+			c.MulVec(got, x)
+			if i, ok := bitsEqual(got, wantMul); !ok {
+				t.Fatalf("workers=%d MulVec differs at %d", workers, i)
+			}
+			gotT := make([]float64, m.Cols())
+			c.MulVecT(gotT, xt)
+			if i, ok := bitsEqual(gotT, wantT); !ok {
+				t.Fatalf("workers=%d MulVecT differs at %d", workers, i)
+			}
+			gotB := make([][]float64, batch)
+			for k := range gotB {
+				gotB[k] = make([]float64, m.Rows())
+			}
+			c.MulVecBatch(gotB, xb)
+			for k := range gotB {
+				if i, ok := bitsEqual(gotB[k], wantB[k]); !ok {
+					t.Fatalf("workers=%d batch rhs %d differs at %d", workers, k, i)
+				}
+			}
+		}
+
+		// Compact layout through the same pool.
+		c32 := Compact(m.Clone()).SetPool(pool).FirstTouch()
+		if c32.bounds == nil {
+			t.Fatalf("workers=%d: CSR32 FirstTouch did not cache the partition", workers)
+		}
+		got := make([]float64, m.Rows())
+		c32.MulVec(got, x)
+		if i, ok := bitsEqual(got, wantMul); !ok {
+			t.Fatalf("workers=%d CSR32 MulVec differs at %d", workers, i)
+		}
+		pool.Close()
 	}
 }
 
@@ -85,7 +83,7 @@ func TestStickyFirstTouchBitIdentical(t *testing.T) {
 // bounds, unchanged slices) on matrices the parallel gate rejects, and on
 // serial or plain pools it must only cache bounds, never reallocate.
 func TestStickyFirstTouchBelowThreshold(t *testing.T) {
-	small := randBigCSR(40, 40, 3, 8).SetPool(par.NewStickyPool(4, false))
+	small := randBigCSR(40, 40, 3, 8).SetPool(par.NewStickyPool(4))
 	colBefore := &small.col[0]
 	small.FirstTouch()
 	if small.bounds != nil {
@@ -112,8 +110,8 @@ func TestStickyFirstTouchBelowThreshold(t *testing.T) {
 		t.Fatal("SetPool kept a stale cached partition")
 	}
 
-	// CSR32 float32 value path: FirstTouch must rewrite val32, not val.
-	c := CompactFloat32(big.Clone()).SetPool(par.NewStickyPool(4, false))
+	// CSR32: FirstTouch rewrites the compact index and value arrays in place.
+	c := Compact(big.Clone()).SetPool(par.NewStickyPool(4))
 	want := make([]float64, big.Rows())
 	x := randVec(big.Cols(), 9)
 	c.MulVec(want, x)
@@ -121,7 +119,7 @@ func TestStickyFirstTouchBelowThreshold(t *testing.T) {
 	got := make([]float64, big.Rows())
 	c.MulVec(got, x)
 	if i, ok := bitsEqual(got, want); !ok {
-		t.Fatalf("float32-path FirstTouch changed results at %d", i)
+		t.Fatalf("CSR32 FirstTouch changed results at %d", i)
 	}
 }
 
@@ -148,7 +146,7 @@ func TestStickyPoolCSR32TransposeGatherBitIdentical(t *testing.T) {
 			for _, sticky := range []bool{false, true} {
 				var pool *par.Pool
 				if sticky {
-					pool = par.NewStickyPool(workers, false)
+					pool = par.NewStickyPool(workers)
 				} else {
 					pool = par.NewPool(workers)
 				}
