@@ -4,7 +4,7 @@ GO ?= go
 PROFILE_ADDR ?= localhost:6060
 PROFILE_SECONDS ?= 15
 
-.PHONY: build test race race-par vet lint check bench bench-par bench-kernels bench-spmv bench-dynamic bench-serving bench-topk bench-obs profile
+.PHONY: build test race race-par vet lint check bench bench-par bench-kernels bench-spmv bench-dynamic bench-serving bench-obs profile
 
 build:
 	$(GO) build ./...
@@ -43,8 +43,7 @@ race:
 # rebuild/swap protocol (root package: concurrent queries, updates, and
 # background flushes over one index), the cluster tier's routing ring
 # and generation-guarded scatter-gather against concurrent engine swaps,
-# and the bounded top-k search (solver StopWhen/Probe hooks, set-equality
-# property tests, qexec k-class batching under concurrent load), and the
+# and qexec top-k ranking under concurrent load, and the
 # observability layer (lock-free event ring, trace propagation across
 # HTTP backends during engine swaps, histogram snapshot merging), and the
 # latency-hiding kernel layer (RHS-interleaved batch multiply, sticky
@@ -52,10 +51,9 @@ race:
 # (delta classification, Woodbury-corrected solves, drift fallback) racing
 # concurrent queries.
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|Level|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Sticky|Stream|Delta|Woodbury|Drift' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|Level|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|Trace|Merge|Event|Snapshot|Interleav|Sticky|Stream|Delta|Woodbury|Drift' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
-		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
-		./internal/solver/
+		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/
 
 # The CI gate: everything must build, lint clean (vet always; staticcheck/
 # govulncheck when installed), and pass under the race detector, with an
@@ -103,14 +101,6 @@ bench-dynamic:
 bench-serving:
 	$(GO) run ./cmd/bepi-bench serving -size tiny
 	$(GO) run ./cmd/bepi-bench cluster -size tiny
-
-# Smoke-run the exact top-k early-termination experiment: bounded vs
-# full-tolerance ranking across engine variants, with the set-equality
-# column checked on every query. CI runs it so a certificate regression
-# (sets column flipping to MISMATCH) or a latency cliff shows up in the
-# table.
-bench-topk:
-	$(GO) run ./cmd/bepi-bench topk -size tiny
 
 # Smoke-run the observability-overhead experiment: the cluster workload
 # with histograms, sampled tracing and the flight recorder on versus

@@ -284,26 +284,6 @@ func (e *Engine) TopK(seed, k int) ([]Ranked, error) {
 	return out, nil
 }
 
-// TopKBounded is TopK with certified early termination: the Schur solve
-// halts as soon as a calibrated score-error radius proves the k-th /
-// (k+1)-th gap can no longer change which k nodes win. The returned SET
-// is always identical to TopK's; earlyStopped reports whether the
-// certificate fired (when false the solve ran to the engine tolerance and
-// the result is bit-identical to TopK, order included). The first bounded
-// call calibrates the radius with a few reference solves; services that
-// care about first-query latency should issue a throwaway call at warmup.
-func (e *Engine) TopKBounded(seed, k int) ([]Ranked, bool, error) {
-	rs, st, err := e.inner.TopKBounded(seed, k)
-	if err != nil {
-		return nil, false, err
-	}
-	out := make([]Ranked, len(rs))
-	for i, r := range rs {
-		out[i] = Ranked{Node: r.Node, Score: r.Score}
-	}
-	return out, st.EarlyStopped, nil
-}
-
 // MemoryBytes reports the footprint of the preprocessed index.
 func (e *Engine) MemoryBytes() int64 { return e.inner.MemoryBytes() }
 
@@ -321,8 +301,8 @@ func (e *Engine) Drift() float64 { return e.inner.Drift() }
 
 // Corrected reports whether the engine serves through a Woodbury low-rank
 // correction installed by a hub delta. Corrected engines answer within the
-// solver tolerance but are not bit-identical to a full rebuild, cannot be
-// Saved, and serve top-k without certified early termination.
+// solver tolerance but are not bit-identical to a full rebuild and cannot
+// be Saved.
 func (e *Engine) Corrected() bool { return e.inner.Corrected() }
 
 // PreprocessTime reports how long preprocessing took.

@@ -42,7 +42,6 @@ func Experiments() []Experiment {
 		{"kernels", "Beyond paper: compact CSR32 vs wide CSR, serial vs leveled ILU sweeps", Kernels},
 		{"dynamic", "Beyond paper: query latency during a dynamic-index rebuild, stop-the-world vs background flush, plus incremental delta-flush vs full preprocess under a continuous update stream", Dynamic},
 		{"cluster", "Beyond paper: sharded serving — coordinator qps and cache hit rate at 1/2/4 in-process replicas", Cluster},
-		{"topk", "Beyond paper: exact top-k early termination — bound-pruned vs full-tolerance latency per k", TopK},
 		{"obs", "Beyond paper: observability overhead — coordinator qps with histograms/traces/events on vs obs.Disabled", Obs},
 	}
 }

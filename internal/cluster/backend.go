@@ -38,13 +38,9 @@ type Partial struct {
 	Scores     []float64
 	Iterations int
 	Cached     bool
-	// EarlyStopped means the replica's bound-pruned solve stopped on its
-	// certificate: the ranking SET is exact but the scores are within the
-	// certified radius, not at full tolerance. Exact fetches never set it.
-	EarlyStopped bool
-	Generation   uint64
-	IndexHash    string
-	DurationMS   float64
+	Generation uint64
+	IndexHash  string
+	DurationMS float64
 }
 
 // Tag returns the partial's merge key: the (index hash, generation) pair.
@@ -70,9 +66,8 @@ type Backend interface {
 	Name() string
 	// Query answers a single-seed query; full requests the whole score
 	// vector (used by the full-vector scatter-gather merge), otherwise a
-	// top-k ranking — bound-pruned by default, from a full-tolerance solve
-	// when exact is set (the rank merge needs exact scores for its
-	// bit-identical weighted sums).
+	// top-k ranking. exact is ignored: every ranking comes from a
+	// full-tolerance solve, so its scores are always exact.
 	Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error)
 	// Health probes the replica's readiness.
 	Health(ctx context.Context) (Health, error)
@@ -161,7 +156,7 @@ func (b *LocalBackend) Core() *server.Core { return b.core }
 
 // Query implements Backend over the core's transport-agnostic query path.
 func (b *LocalBackend) Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error) {
-	resp, err := b.core.Query(ctx, server.QueryRequest{Seed: seed, TopK: topk, Full: full, Exact: exact})
+	resp, err := b.core.Query(ctx, server.QueryRequest{Seed: seed, TopK: topk, Full: full})
 	if err != nil {
 		status := server.StatusOf(err)
 		return Partial{}, &BackendError{
@@ -172,16 +167,15 @@ func (b *LocalBackend) Query(ctx context.Context, seed, topk int, full, exact bo
 		}
 	}
 	return Partial{
-		Seed:         resp.Seed,
-		Replica:      b.name,
-		Top:          resp.Top,
-		Scores:       resp.Scores,
-		Iterations:   resp.Iterations,
-		Cached:       resp.Cached,
-		EarlyStopped: resp.EarlyStopped,
-		Generation:   resp.Generation,
-		IndexHash:    resp.IndexHash,
-		DurationMS:   resp.DurationMS,
+		Seed:       resp.Seed,
+		Replica:    b.name,
+		Top:        resp.Top,
+		Scores:     resp.Scores,
+		Iterations: resp.Iterations,
+		Cached:     resp.Cached,
+		Generation: resp.Generation,
+		IndexHash:  resp.IndexHash,
+		DurationMS: resp.DurationMS,
 	}, nil
 }
 
@@ -282,24 +276,20 @@ func (b *HTTPBackend) Query(ctx context.Context, seed, topk int, full, exact boo
 	if full {
 		v.Set("full", "true")
 	}
-	if exact {
-		v.Set("exact", "true")
-	}
 	var resp server.QueryResponse
 	if err := b.get(ctx, "/query?"+v.Encode(), &resp); err != nil {
 		return Partial{}, err
 	}
 	return Partial{
-		Seed:         resp.Seed,
-		Replica:      b.name,
-		Top:          resp.Top,
-		Scores:       resp.Scores,
-		Iterations:   resp.Iterations,
-		Cached:       resp.Cached,
-		EarlyStopped: resp.EarlyStopped,
-		Generation:   resp.Generation,
-		IndexHash:    resp.IndexHash,
-		DurationMS:   resp.DurationMS,
+		Seed:       resp.Seed,
+		Replica:    b.name,
+		Top:        resp.Top,
+		Scores:     resp.Scores,
+		Iterations: resp.Iterations,
+		Cached:     resp.Cached,
+		Generation: resp.Generation,
+		IndexHash:  resp.IndexHash,
+		DurationMS: resp.DurationMS,
 	}, nil
 }
 

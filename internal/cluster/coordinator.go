@@ -224,19 +224,11 @@ func (c *Coordinator) beginTrace(ctx context.Context, kind string, seed int) (*o
 // cache affinity and retrying ring successors (with back-off honoring the
 // replica's Retry-After hint) on retryable failures.
 func (c *Coordinator) Query(ctx context.Context, seed, topk int, full bool) (Partial, error) {
-	return c.query(ctx, seed, topk, full, false)
-}
-
-// query is Query with the exact flag threaded through to the replica: a
-// top-k fetch with exact set comes from a full-tolerance solve (the rank
-// merge requires exact scores), otherwise replicas serve the bound-pruned
-// fast path.
-func (c *Coordinator) query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	at, ctx := c.beginTrace(ctx, "cluster.query", seed)
-	p, err := c.route(ctx, at, seed, topk, full, exact)
+	p, err := c.route(ctx, at, seed, topk, full)
 	if at != nil {
 		if err != nil {
 			at.SetErr(err)
@@ -257,7 +249,7 @@ func (c *Coordinator) query(ctx context.Context, seed, topk int, full, exact boo
 // back-off wait) becomes a span on the coordinator's trace record, tagged
 // with the shard and attempt number; retries and exhausted routes go to the
 // flight recorder.
-func (c *Coordinator) route(ctx context.Context, at *obs.ActiveTrace, seed, topk int, full, exact bool) (Partial, error) {
+func (c *Coordinator) route(ctx context.Context, at *obs.ActiveTrace, seed, topk int, full bool) (Partial, error) {
 	ring := c.ring.Load()
 	if ring.Len() == 0 {
 		return Partial{}, ErrNoReplicas
@@ -280,7 +272,7 @@ func (c *Coordinator) route(ctx context.Context, at *obs.ActiveTrace, seed, topk
 			at.AddSpan("backoff", bStart, c.obs.Now())
 		}
 		aStart := c.obs.Now()
-		p, err := c.queryReplica(ctx, c.replicas[name], seed, topk, full, exact)
+		p, err := c.queryReplica(ctx, c.replicas[name], seed, topk, full)
 		at.AddSpanTags("attempt", aStart, c.obs.Now(), map[string]string{
 			"shard":   name,
 			"attempt": strconv.Itoa(i + 1),
@@ -317,12 +309,12 @@ func (c *Coordinator) backoff(ctx context.Context, attempt int, lastErr error) e
 // queryReplica runs one attempt against one replica under the per-attempt
 // timeout, recording routing metrics. An attempt-timeout is reported as a
 // retryable 504 BackendError rather than a caller cancellation.
-func (c *Coordinator) queryReplica(ctx context.Context, rep *replica, seed, topk int, full, exact bool) (Partial, error) {
+func (c *Coordinator) queryReplica(ctx context.Context, rep *replica, seed, topk int, full bool) (Partial, error) {
 	rep.routed.Add(1)
 	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 	defer cancel()
 	start := time.Now()
-	p, err := rep.backend.Query(actx, seed, topk, full, exact)
+	p, err := rep.backend.Query(actx, seed, topk, full, false)
 	rep.latency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		rep.errs.Add(1)
@@ -553,7 +545,7 @@ func (c *Coordinator) merge(ctx context.Context, weights map[int]float64, sum fl
 // mid-gather engine swap. A failed partial fails the gather — a weighted
 // sum missing one component is silently wrong (unlike Batch, whose
 // entries are independent).
-func (c *Coordinator) gather(ctx context.Context, seeds []int, topk int, full, exact bool) ([]Partial, int, error) {
+func (c *Coordinator) gather(ctx context.Context, seeds []int, topk int, full bool) ([]Partial, int, error) {
 	partials := make([]Partial, len(seeds))
 	errs := make([]error, len(seeds))
 	fetch := func(idxs []int) {
@@ -562,7 +554,7 @@ func (c *Coordinator) gather(ctx context.Context, seeds []int, topk int, full, e
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				partials[i], errs[i] = c.query(ctx, seeds[i], topk, full, exact)
+				partials[i], errs[i] = c.Query(ctx, seeds[i], topk, full)
 			}(i)
 		}
 		wg.Wait()
@@ -611,7 +603,7 @@ func (c *Coordinator) gather(ctx context.Context, seeds []int, topk int, full, e
 // vector, weighted-sum them, rank. The reference path the rank merge must
 // match bit-for-bit.
 func (c *Coordinator) fullMerge(ctx context.Context, weights map[int]float64, sum float64, seeds []int, topk int) (Merged, error) {
-	partials, refetched, err := c.gather(ctx, seeds, 0, true, false)
+	partials, refetched, err := c.gather(ctx, seeds, 0, true)
 	if err != nil {
 		return Merged{}, err
 	}
@@ -675,7 +667,7 @@ func (c *Coordinator) rankMerge(ctx context.Context, weights map[int]float64, su
 			width *= 4
 			c.rankEscalations.Add(1)
 		}
-		partials, refetched, err := c.gather(ctx, seeds, width, false, true)
+		partials, refetched, err := c.gather(ctx, seeds, width, false)
 		if err != nil {
 			return Merged{}, false, err
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -400,5 +402,27 @@ func TestCoordinatorGenerationMixHealedByRefetch(t *testing.T) {
 	}
 	if m.Tag.Gen != 2 {
 		t.Fatalf("merged at generation %d, want the post-swap generation 2", m.Tag.Gen)
+	}
+}
+
+// TestCoordinatorOversizeBodiesRejected: the coordinator's /batch and
+// /personalized refuse a body beyond server.MaxBodyBytes with 413 before
+// any replica is queried, even when the body is otherwise valid JSON.
+func TestCoordinatorOversizeBodiesRejected(t *testing.T) {
+	f := newFake("a", 16)
+	h := NewHandler(newTestCoordinator(t, testConfig(), f))
+	pad := strings.Repeat("x", server.MaxBodyBytes)
+	for path, body := range map[string]string{
+		"/batch":        `{"seeds":[1],"topk":2,"pad":"` + pad + `"}`,
+		"/personalized": `{"weights":{"1":1},"topk":2,"pad":"` + pad + `"}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d want 413: %.200s", path, rec.Code, rec.Body.String())
+		}
+	}
+	if q := f.queries(); q != 0 {
+		t.Fatalf("oversize bodies reached the replica %d times", q)
 	}
 }

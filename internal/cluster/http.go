@@ -18,8 +18,7 @@ import (
 // Endpoints:
 //
 //	GET  /query?seed=N&topk=K             routed single-seed query
-//	     (&full=true for the score vector, &exact=true to force a
-//	     full-tolerance solve instead of the bound-pruned top-k path)
+//	     (&full=true for the score vector)
 //	POST /batch {"seeds":[...],"topk":K}  scatter-gather batch (degraded
 //	                                      responses report failed shards)
 //	POST /personalized {"weights":{...}}  linearity-decomposed PPR merge
@@ -107,9 +106,8 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	p, err := h.coord.query(traceContext(w, r), seed, topk,
-		r.URL.Query().Get("full") == "true",
-		r.URL.Query().Get("exact") == "true")
+	p, err := h.coord.Query(traceContext(w, r), seed, topk,
+		r.URL.Query().Get("full") == "true")
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -149,8 +147,8 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+	if status, err := server.DecodeBody(w, r, &req); err != nil {
+		writeJSON(w, status, map[string]string{"error": err.Error()})
 		return
 	}
 	if len(req.Seeds) == 0 {
@@ -212,8 +210,8 @@ func (h *Handler) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.PersonalizedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+	if status, err := server.DecodeBody(w, r, &req); err != nil {
+		writeJSON(w, status, map[string]string{"error": err.Error()})
 		return
 	}
 	weights := make(map[int]float64, len(req.Weights))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -66,125 +65,6 @@ func (e *Engine) boundFactor() (float64, error) {
 		e.bndFactor, e.bndErr = e.computeBoundFactor()
 	})
 	return e.bndFactor, e.bndErr
-}
-
-// CalibrateBound forces the one-time estimation of both engine-level
-// accuracy factors: the Theorem-4 envelope behind AccuracyBound (norm and
-// singular-value estimates — dozens of GMRES solves on S) and the
-// empirical ℓ∞ error-to-residual ratio behind the bounded top-k
-// certificate (a handful of instrumented reference solves). Afterwards
-// every bound evaluation is cheap. The bounded top-k path calibrates
-// lazily on its first query — services that care about first-query latency
-// call this during warmup instead.
-func (e *Engine) CalibrateBound() error {
-	if e.ord.N2 == 0 {
-		return nil
-	}
-	if _, err := e.boundFactor(); err != nil {
-		return err
-	}
-	_, err := e.topkFactor()
-	return err
-}
-
-// topkFactor returns the memoized calibrated ratio behind the bounded
-// top-k certificate: the largest observed per-node (ℓ∞) score error per
-// unit of the solver's reported residual times ‖q̃2‖, measured on
-// instrumented reference solves against the engine-tolerance solution.
-// Calibrating against the exact residual metric the solver hands every
-// probe (relative, and preconditioned when the engine runs ILU) makes the
-// per-iteration radius free at query time — no extra operator apply — and
-// folds the preconditioner's conditioning into the measured ratio. The
-// reference is exactly the vector Engine.TopK ranks, so a radius from this
-// factor bounds the quantity the set-equality contract actually depends
-// on. The Theorem-4 ℓ2 envelope (boundFactor) stays available for a-priori
-// analysis, but as a per-node radius it is orders too conservative to
-// ever fire at scale; the calibrated ratio is sharp, and topkBoundSafety
-// inflates it at every check to absorb sampling error.
-func (e *Engine) topkFactor() (float64, error) {
-	e.tkOnce.Do(func() {
-		e.tkFactor, e.tkErr = e.computeTopKFactor()
-	})
-	return e.tkFactor, e.tkErr
-}
-
-// computeTopKFactor runs the instrumented reference solves behind
-// topkFactor. Only topkFactor (under its Once) calls it. A zero result
-// (trivial graph: every sampled solve converges in under two iterations)
-// disables the bounded path — there is nothing to save on such engines.
-func (e *Engine) computeTopKFactor() (float64, error) {
-	const (
-		calSamples  = 4     // nontrivial reference solves to calibrate on
-		calMaxSeeds = 16    // candidate seeds tried to find them
-		calMaxIters = 48    // iterates captured per solve
-		calFloor    = 1e-13 // errors at rounding level carry no signal
-		calSeedRNG  = 424242 + 7
-	)
-	if e.ord.N2 == 0 {
-		return 0, nil
-	}
-	ws := e.NewWorkspace()
-	ws.grow(1)
-	ws.growTopK()
-	ref := make([]float64, e.n)
-	cur := make([]float64, e.n)
-	rng := rand.New(rand.NewSource(calSeedRNG))
-	factor := 0.0
-	samples := 0
-	type calIter struct {
-		residual float64
-		x        []float64
-	}
-	for try := 0; try < calMaxSeeds && samples < calSamples; try++ {
-		seed := rng.Intn(e.n)
-		q := make([]float64, e.n)
-		q[seed] = 1
-		qs := [][]float64{q}
-		errs := make([]error, 1)
-		active := e.admitBatch(nil, qs, errs)
-		if len(active) == 0 {
-			continue
-		}
-		e.permutePhase(ws, qs, active)
-		e.forwardPhase(ws, active)
-		op, opts := e.schurSolveOptions(context.Background(), &ws.slv)
-		var iterates []calIter
-		opts.Probe = func(iter int, residual float64, iterate func() []float64) {
-			if len(iterates) < calMaxIters {
-				iterates = append(iterates, calIter{residual, append([]float64(nil), iterate()...)})
-			}
-		}
-		r2, st, err := e.runSchurSolve(op, ws.qt2s[0], opts)
-		if err != nil {
-			return 0, fmt.Errorf("core: top-k calibration solve on seed %d: %w", seed, err)
-		}
-		if st.Iterations < 2 || len(iterates) == 0 {
-			continue
-		}
-		samples++
-		e.reconstructSlot(ws, 0, r2, ref)
-		qt2Norm := vec.Norm2(ws.qt2s[0])
-		for _, it := range iterates {
-			rn := it.residual * qt2Norm
-			if rn == 0 {
-				continue
-			}
-			e.reconstructSlot(ws, 0, it.x, cur)
-			var errInf float64
-			for j := range cur {
-				if d := math.Abs(cur[j] - ref[j]); d > errInf {
-					errInf = d
-				}
-			}
-			if errInf <= calFloor {
-				continue
-			}
-			if r := errInf / rn; r > factor {
-				factor = r
-			}
-		}
-	}
-	return factor, nil
 }
 
 // computeBoundFactor runs the norm and singular-value estimates behind

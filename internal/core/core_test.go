@@ -243,6 +243,31 @@ func TestRankTopK(t *testing.T) {
 	}
 }
 
+// TestRankTopKTieBreak pins the deterministic tie order: equal scores
+// rank by ascending node id, regardless of heap internals or input size.
+func TestRankTopKTieBreak(t *testing.T) {
+	scores := []float64{0.5, 0.9, 0.5, 0.9, 0.5, 0.1, 0.9}
+	got := RankTopK(scores, 5, -1)
+	want := []Ranked{{1, 0.9}, {3, 0.9}, {6, 0.9}, {0, 0.5}, {2, 0.5}}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("position %d: got %v, want %v", i, got[i], want[i])
+		}
+	}
+	// The exported comparator must agree with the ranking order.
+	for i := 0; i+1 < len(got); i++ {
+		if !got[i].Outranks(got[i+1]) {
+			t.Fatalf("Outranks disagrees with ranking at %d: %v vs %v", i, got[i], got[i+1])
+		}
+		if got[i+1].Outranks(got[i]) {
+			t.Fatalf("Outranks not antisymmetric at %d", i)
+		}
+	}
+}
+
 func TestTopK(t *testing.T) {
 	g := gen.Figure2()
 	e := engineFor(t, g, VariantFull, 0.3)

@@ -133,8 +133,7 @@ func (w *woodbury) correct(y []float64) {
 
 // Corrected reports whether the engine carries a Woodbury correction, i.e.
 // its stored Schur complement is the base of a low-rank update rather than
-// the updated graph's S. Corrected engines cannot be serialized and do not
-// serve the bounded top-k certificate.
+// the updated graph's S. Corrected engines cannot be serialized.
 func (e *Engine) Corrected() bool { return e.wood != nil }
 
 // Drift returns the accumulated hub-delta drift score

@@ -120,3 +120,40 @@ func TestTwoNodeCycleClosedForm(t *testing.T) {
 		t.Fatal("cycle should conserve probability mass")
 	}
 }
+
+// TestDeadendLeaksMass pins BePI's dead-end semantics: a walk that reaches
+// a dead end loses its continuation mass instead of restarting, so on a
+// graph with a reachable dead end the scores sum to less than one. With
+// H = I − (1−c)Ãᵀ and dead-end rows of Ã all zero, summing Hr = c·q gives
+// Σr = 1 − (1−c)/c · Σ_{dead} r exactly; a restart-at-dead-end walk would
+// keep Σr = 1.
+func TestDeadendLeaksMass(t *testing.T) {
+	// 0 → 1 → {0, 2}; node 2 is a dead end reachable from the seed.
+	g := graph.MustNew(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}, {Src: 1, Dst: 2}})
+	c := DefaultC
+	e, err := Preprocess(g, Options{C: c, Tol: 1e-13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := e.Query(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := ExactDense(g, c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for i := range r {
+		if math.Abs(r[i]-exact[i]) > 1e-12 {
+			t.Fatalf("r[%d] = %v, ExactDense %v", i, r[i], exact[i])
+		}
+		sum += r[i]
+	}
+	if r[2] <= 0 {
+		t.Fatalf("dead end unreached: r = %v", r)
+	}
+	if want := 1 - (1-c)/c*r[2]; sum >= 1-1e-3 || math.Abs(sum-want) > 1e-12 {
+		t.Fatalf("score mass %v, want %v (< 1: dead-end mass leaks)", sum, want)
+	}
+}

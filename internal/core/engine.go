@@ -252,26 +252,15 @@ type Engine struct {
 	// wood, when non-nil, is the Woodbury low-rank correction a hub-touching
 	// delta installed over the explicit Schur operator: the stored schur (and
 	// its ILU factors) remain the base S̃ the correction was built against,
-	// and runSchurSolve applies the rank-r update after every iterative
-	// solve. Engines with a correction cannot be serialized and do not serve
-	// the bounded top-k certificate. Built by ApplyDelta (delta.go).
+	// and solveSchurCtx applies the rank-r update after every iterative
+	// solve. Engines with a correction cannot be serialized. Built by
+	// ApplyDelta (delta.go).
 	wood *woodbury
 	// driftCols tracks, per Schur column, the perturbation ‖ΔS[:,j]‖₂ the
 	// Woodbury correction carries against the stored base S̃ (and its ILU
 	// factors); driftBase is ‖S̃‖F. Engine.Drift derives the relative score from them.
 	driftCols map[int]float64
 	driftBase float64
-
-	// tk caches the calibrated ℓ∞ error-to-residual ratio the bounded
-	// top-k certificate scales per-iteration residuals by. Unlike the
-	// Theorem-4 ℓ2 envelope above (valid but orders too conservative for
-	// per-node gap tests at scale), it is measured: reference solves record
-	// the worst observed max-node score error per unit of true Schur
-	// residual, and topkBoundSafety inflates it at check time. Computed
-	// once per engine, lazily, under the Once.
-	tkOnce   sync.Once
-	tkFactor float64
-	tkErr    error
 }
 
 // SetIterHook installs a per-iteration solver observer (nil removes it).

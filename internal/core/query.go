@@ -47,24 +47,20 @@ func (e *Engine) solveSchur(qt2 []float64, cb func(int, []float64)) ([]float64, 
 // solveSchurCtx is solveSchur with a cancellation context threaded into the
 // iterative solver and an optional reusable Krylov workspace. With a
 // workspace, the returned solution points into it and is only valid until
-// the next solve on that workspace.
+// the next solve on that workspace. The operator and preconditioner are
+// wrapped with the kernel-timing shims when a kernel hook is installed. On
+// engines carrying a Woodbury correction (hub deltas absorbed over the
+// explicit operator) the iteration runs against the stored base S̃ and the
+// low-rank correction maps the result to the updated graph's solution;
+// every Schur solve in the engine funnels through here, so all of them see
+// the corrected system consistently.
 func (e *Engine) solveSchurCtx(ctx context.Context, qt2 []float64, ws *solver.Workspace, cb func(int, []float64)) ([]float64, solver.Stats, error) {
-	op, opts := e.schurSolveOptions(ctx, ws)
-	opts.Callback = cb
-	return e.runSchurSolve(op, qt2, opts)
-}
-
-// schurSolveOptions returns the operator every Schur solve runs on — the
-// stored S — and the solver options they share: tolerance, iteration
-// budget, preconditioner, telemetry hooks. The operator and preconditioner
-// are wrapped with the kernel-timing shims when a kernel hook is installed.
-// Callers add their per-solve hooks (Callback, Probe, StopWhen) on top.
-func (e *Engine) schurSolveOptions(ctx context.Context, ws *solver.Workspace) (solver.Operator, solver.GMRESOptions) {
 	var op solver.Operator = e.schur
 	opts := solver.GMRESOptions{
 		Tol:         e.opts.Tol,
 		MaxIter:     e.opts.MaxIter,
 		Restart:     e.opts.GMRESRestart,
+		Callback:    cb,
 		OnIteration: e.iterHook,
 		Ctx:         ctx,
 		Work:        ws,
@@ -81,16 +77,6 @@ func (e *Engine) schurSolveOptions(ctx context.Context, ws *solver.Workspace) (s
 				bytes: e.ilu.MemoryBytes() + int64(16*e.ord.N2)}
 		}
 	}
-	return op, opts
-}
-
-// runSchurSolve dispatches the configured iterative method. On engines
-// carrying a Woodbury correction (hub deltas absorbed over the explicit
-// operator) the iteration runs against the stored base S̃ and the low-rank
-// correction maps the result to the updated graph's solution; every Schur
-// solve in the engine — queries, top-k, bound calibration — funnels through
-// here, so all of them see the corrected system consistently.
-func (e *Engine) runSchurSolve(op solver.Operator, qt2 []float64, opts solver.GMRESOptions) ([]float64, solver.Stats, error) {
 	var (
 		t2    []float64
 		stats solver.Stats
@@ -205,9 +191,9 @@ func RankTopK(scores []float64, k int, exclude int) []Ranked {
 
 // Outranks reports whether a ranks strictly above b: higher score wins,
 // ties break on lower node id. It is the total order every ranking in the
-// system uses — Engine.TopK, the bounded top-k search, and the cluster
-// tier's merge — so equal-score ties resolve identically on every replica
-// and merged rankings are independent of arrival order.
+// system uses — Engine.TopK and the cluster tier's merge — so equal-score
+// ties resolve identically on every replica and merged rankings are
+// independent of arrival order.
 func (a Ranked) Outranks(b Ranked) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score

@@ -23,10 +23,6 @@ type Workspace struct {
 	// slots, reused across phases.
 	sel [7][][]float64
 	slv solver.Workspace
-	// tkScores (length n, permuted order) is the bounded top-k search's
-	// scratch: the mid-solve score snapshot the gap checks rank. One buffer
-	// serves a whole batch — the per-item Schur solves run sequentially.
-	tkScores []float64
 }
 
 // NewWorkspace returns an empty workspace for the engine. Buffers are
@@ -45,13 +41,6 @@ func (w *Workspace) grow(k int) {
 		w.r2s = append(w.r2s, make([]float64, n2))
 		w.r3s = append(w.r3s, make([]float64, n3))
 		w.tmps = append(w.tmps, make([]float64, n3))
-	}
-}
-
-// growTopK sizes the bounded top-k scratch buffer.
-func (w *Workspace) growTopK() {
-	if len(w.tkScores) < w.e.n {
-		w.tkScores = make([]float64, w.e.n)
 	}
 }
 
@@ -165,7 +154,7 @@ func (e *Engine) admitBatch(ctxs []context.Context, qs [][]float64, errs []error
 }
 
 // permutePhase scatters each active query into the reordered space and
-// forms t1 = c·q1, the setup shared by every block-elimination pass.
+// forms t1 = c·q1.
 func (e *Engine) permutePhase(ws *Workspace, qs [][]float64, active []int) time.Duration {
 	tPhase := time.Now()
 	n1 := e.ord.N1
@@ -241,29 +230,19 @@ func (e *Engine) backPhase(ws *Workspace, active []int, res [][]float64) {
 
 	// Concatenate and un-permute back to original ids (line 7).
 	for _, k := range active {
-		res[k] = e.unpermuteSlot(ws, k)
-	}
-}
-
-// unpermuteSlot concatenates a slot's r1/r2/r3 blocks into a fresh
-// original-id vector — the final step of backPhase on its own, for callers
-// whose r1/r3 are already current (the bounded top-k search reuses the
-// reconstruction its certifying gap check just performed).
-func (e *Engine) unpermuteSlot(ws *Workspace, k int) []float64 {
-	n1 := e.ord.N1
-	l := n1 + e.ord.N2
-	r := make([]float64, e.n)
-	r1, r2, r3 := ws.r1s[k], ws.r2s[k], ws.r3s[k]
-	for old := 0; old < e.n; old++ {
-		nw := e.ord.Perm[old]
-		switch {
-		case nw < n1:
-			r[old] = r1[nw]
-		case nw < l:
-			r[old] = r2[nw-n1]
-		default:
-			r[old] = r3[nw-l]
+		r := make([]float64, e.n)
+		r1, r2, r3 := ws.r1s[k], ws.r2s[k], ws.r3s[k]
+		for old := 0; old < e.n; old++ {
+			nw := e.ord.Perm[old]
+			switch {
+			case nw < n1:
+				r[old] = r1[nw]
+			case nw < l:
+				r[old] = r2[nw-n1]
+			default:
+				r[old] = r3[nw-l]
+			}
 		}
+		res[k] = r
 	}
-	return r
 }

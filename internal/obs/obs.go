@@ -70,10 +70,6 @@ type Observer struct {
 	// PrecondApply observes the wall time of each ILU(0) preconditioner
 	// application (the two triangular sweeps), in seconds.
 	PrecondApply *Histogram
-	// TopKSaved observes, for each early-stopped bounded top-k solve, the
-	// estimated number of Schur iterations the certificate avoided — the
-	// direct measure of what bound pruning buys per query.
-	TopKSaved *Histogram
 	// Rebuild observes the wall time of each background index rebuild
 	// (graph construction + full BePI preprocessing) on the dynamic-update
 	// path, in seconds. Queries are expected to keep completing while
@@ -156,7 +152,6 @@ func New(opts Options) *Observer {
 		Iterations:   NewHistogram("solver iterations", IterationBuckets()),
 		Residual:     NewHistogram("final residual", ResidualBuckets()),
 		SchurApply:   NewHistogram("Schur operator apply (s)", LatencyBuckets()),
-		TopKSaved:    NewHistogram("top-k iterations saved", IterationBuckets()),
 		PrecondApply: NewHistogram("ILU preconditioner apply (s)", LatencyBuckets()),
 		Rebuild:      NewHistogram("index rebuild (s)", LatencyBuckets()),
 	}

@@ -14,7 +14,6 @@ const (
 	FamilyResidual     = "bepi_query_residual"
 	FamilySchurApply   = "bepi_schur_apply_seconds"
 	FamilyPrecondApply = "bepi_precond_apply_seconds"
-	FamilyTopKSaved    = "bepi_topk_iters_saved"
 	FamilyRebuild      = "bepi_rebuild_seconds"
 )
 
@@ -42,7 +41,7 @@ type BuildInfo struct {
 // canonical family name. Nil-valued histograms (and a nil observer) yield
 // an empty map entry-wise — absent, not zero.
 func (o *Observer) HistogramSnapshots() map[string]HistSnapshot {
-	out := make(map[string]HistSnapshot, 9)
+	out := make(map[string]HistSnapshot, 8)
 	if o == nil {
 		return out
 	}
@@ -58,7 +57,6 @@ func (o *Observer) HistogramSnapshots() map[string]HistSnapshot {
 	put(FamilyResidual, o.Residual)
 	put(FamilySchurApply, o.SchurApply)
 	put(FamilyPrecondApply, o.PrecondApply)
-	put(FamilyTopKSaved, o.TopKSaved)
 	put(FamilyRebuild, o.Rebuild)
 	return out
 }

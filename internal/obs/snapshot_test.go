@@ -135,8 +135,8 @@ func TestHistogramSnapshotsFamilies(t *testing.T) {
 	o.QueryLatency.Observe(0.001)
 	o.Rebuild.Observe(1.5)
 	snaps := o.HistogramSnapshots()
-	if len(snaps) != 9 {
-		t.Fatalf("families: %d want 9", len(snaps))
+	if len(snaps) != 8 {
+		t.Fatalf("families: %d want 8", len(snaps))
 	}
 	if snaps[FamilyQueryLatency].Count != 1 || snaps[FamilyRebuild].Count != 1 {
 		t.Fatalf("family counts wrong: %+v", snaps)

@@ -20,8 +20,6 @@ type counters struct {
 	executed  atomic.Int64
 	swaps     atomic.Int64
 	panics    atomic.Int64
-	topk      atomic.Int64
-	early     atomic.Int64
 	batchHist [6]atomic.Int64
 }
 
@@ -67,12 +65,6 @@ type Metrics struct {
 	// the worker's panic barrier (each fails its whole batch with
 	// ErrSolvePanicked).
 	SolvePanics int64
-	// TopKSolves counts queries solved through the bounded top-k path.
-	TopKSolves int64
-	// EarlyStops counts bounded top-k solves whose certificate fired before
-	// the solver reached full tolerance (the subset of TopKSolves that
-	// actually saved iterations).
-	EarlyStops int64
 	// CacheEntries is the current number of cached score vectors (gauge).
 	CacheEntries int
 	// Queued is the current admission-queue occupancy (gauge).
@@ -97,8 +89,6 @@ func (e *Executor) Metrics() Metrics {
 		Executed:    e.m.executed.Load(),
 		EngineSwaps: e.m.swaps.Load(),
 		SolvePanics: e.m.panics.Load(),
-		TopKSolves:  e.m.topk.Load(),
-		EarlyStops:  e.m.early.Load(),
 		Queued:      len(e.reqs),
 		Generation:  e.Generation(),
 	}
@@ -125,8 +115,6 @@ func (m Metrics) Delta(prev Metrics) Metrics {
 		Executed:     m.Executed - prev.Executed,
 		EngineSwaps:  m.EngineSwaps - prev.EngineSwaps,
 		SolvePanics:  m.SolvePanics - prev.SolvePanics,
-		TopKSolves:   m.TopKSolves - prev.TopKSolves,
-		EarlyStops:   m.EarlyStops - prev.EarlyStops,
 		CacheEntries: m.CacheEntries,
 		Queued:       m.Queued,
 		Generation:   m.Generation,

@@ -11,11 +11,9 @@
 //     across the batch;
 //   - an LRU score cache with singleflight deduplication, so a hot seed
 //     costs one solve no matter how many requests race for it;
-//   - a bounded top-k path: TopK halts each Schur solve on a certified
-//     score-error bound as soon as the top-k SET is provably settled
-//     (core.Engine.TopKBoundedBatch), batches k-class requests separately
-//     from full-vector ones, and serves any k from a cached or in-flight
-//     full vector without a solve;
+//   - top-k ranking over the same path: TopK ranks the seed's
+//     full-tolerance score vector, so any k is served from a cached or
+//     in-flight vector without a solve;
 //   - admission control: a bounded queue that sheds load with
 //     ErrOverloaded when full, and per-query deadlines threaded down into
 //     the iterative Schur solver via context.Context.
@@ -98,11 +96,6 @@ type Config struct {
 	// the layer off, or a custom observer with TraceSample 1 to trace
 	// every query while debugging.
 	Obs *obs.Observer
-	// FullSolveTopK disables the bounded top-k path: TopK then always
-	// solves to full tolerance and ranks (the pre-bounded behavior). The
-	// bounded path returns the provably identical top-k set, so this is an
-	// operational escape hatch / A-B knob, not a correctness switch.
-	FullSolveTopK bool
 }
 
 // DefaultTraceSample is the default observer's trace sampling rate: one
@@ -146,18 +139,6 @@ type request struct {
 	stats core.QueryStats
 	err   error
 
-	// k > 0 marks a bounded top-k request: the worker routes it through
-	// Engine.TopKBoundedBatch with `exclude` left out of the ranking, and
-	// fills top/early/saved alongside res. Batches are k-class-homogeneous
-	// — top-k and full-vector requests never share a multi-RHS solve, so a
-	// full-vector batch is never held hostage by bound checks and a top-k
-	// batch stops each member on its own certificate.
-	k       int
-	exclude int
-	top     []core.Ranked
-	early   bool
-	saved   int
-
 	// Observability: when the request was enqueued and dequeued (queue-wait
 	// histogram and "admission" span), and the sampled trace it belongs to,
 	// nil for untraced queries.
@@ -189,14 +170,6 @@ type Result struct {
 	// coordinator's scatter-gather merge in particular — can compare tags
 	// instead of guessing from timing.
 	Generation uint64
-	// EarlyStopped (TopK results only) means the scores come from a
-	// bound-certified early-stopped solve: the top-k SET is exact, but
-	// Scores are only within the certified radius of the true values —
-	// they are never cached or served as full-tolerance vectors.
-	EarlyStopped bool
-	// SavedIters (early-stopped TopK results only) estimates the solver
-	// iterations the early stop skipped.
-	SavedIters int
 }
 
 // engineState is the executor's current engine together with the
@@ -224,9 +197,8 @@ type Executor struct {
 
 	cache *lruCache // nil when disabled
 
-	fmu       sync.Mutex
-	flights   map[int]*flight   // singleflight per seed (full-vector solves)
-	tkFlights map[tkKey]*tkFlight // singleflight per (seed, k) bounded solve
+	fmu     sync.Mutex
+	flights map[int]*flight // singleflight per seed
 
 	m counters
 }
@@ -242,33 +214,15 @@ type flight struct {
 	err   error
 }
 
-// tkKey identifies one bounded top-k singleflight: requests for the same
-// seed but different k have different stopping points, so they only
-// coalesce with their exact (seed, k, generation) twins — or with a full
-// solve for the seed, whose finished vector answers any k.
-type tkKey struct {
-	seed, k int
-	gen     uint64
-}
-
-// tkFlight is one in-progress bounded top-k solve.
-type tkFlight struct {
-	done chan struct{}
-	top  []core.Ranked
-	res  Result
-	err  error
-}
-
 // New starts the executor's worker pool over a preprocessed engine.
 // Call Close to stop it.
 func New(eng *core.Engine, cfg Config) *Executor {
 	cfg = cfg.withDefaults()
 	e := &Executor{
-		cfg:       cfg,
-		obs:       cfg.Obs,
-		reqs:      make(chan *request, cfg.QueueDepth),
-		flights:   make(map[int]*flight),
-		tkFlights: make(map[tkKey]*tkFlight),
+		cfg:     cfg,
+		obs:     cfg.Obs,
+		reqs:    make(chan *request, cfg.QueueDepth),
+		flights: make(map[int]*flight),
 	}
 	e.attach(eng)
 	e.eng.Store(&engineState{eng: eng, gen: 1})
@@ -359,7 +313,6 @@ func (e *Executor) SwapEngine(eng *core.Engine) {
 	// identically theirs, so clearing here cannot strand a new flight.
 	e.fmu.Lock()
 	clear(e.flights)
-	clear(e.tkFlights)
 	e.fmu.Unlock()
 }
 
@@ -385,13 +338,11 @@ func (e *Executor) Close() {
 }
 
 // worker owns one reusable workspace and runs coalesced batches until the
-// queue closes. Batches are homogeneous in engine AND k-class: a request
-// submitted before an engine swap is solved on the engine it captured, so
-// a swap mid-queue splits a batch rather than mixing generations, and
-// bounded top-k requests never share a multi-RHS solve with full-vector
-// requests (carry holds the first request of the next batch when a split
-// happens). The workspace is engine-bound and rebuilt when the worker
-// moves to a new engine.
+// queue closes. Batches are homogeneous in engine: a request submitted
+// before an engine swap is solved on the engine it captured, so a swap
+// mid-queue splits a batch rather than mixing generations (carry holds the
+// first request of the next batch when a split happens). The workspace is
+// engine-bound and rebuilt when the worker moves to a new engine.
 func (e *Executor) worker() {
 	defer e.wg.Done()
 	var ws *core.Workspace
@@ -423,7 +374,7 @@ func (e *Executor) worker() {
 					break drain
 				}
 				r2.deq = e.obs.Now()
-				if r2.eng != r.eng || (r2.k > 0) != (r.k > 0) {
+				if r2.eng != r.eng {
 					carry = r2
 					break drain
 				}
@@ -442,7 +393,7 @@ func (e *Executor) worker() {
 						break window
 					}
 					r2.deq = e.obs.Now()
-					if r2.eng != r.eng || (r2.k > 0) != (r.k > 0) {
+					if r2.eng != r.eng {
 						carry = r2
 						break window
 					}
@@ -472,13 +423,7 @@ func (e *Executor) worker() {
 			ws = r.eng.NewWorkspace()
 			wsEng = r.eng
 		}
-		var panicErr error
-		if r.k > 0 {
-			panicErr = e.solveTopKBatch(r.eng, batch, ctxs, qs, ws)
-		} else {
-			panicErr = e.solveBatch(r.eng, batch, ctxs, qs, ws)
-		}
-		if panicErr != nil {
+		if panicErr := e.solveBatch(r.eng, batch, ctxs, qs, ws); panicErr != nil {
 			// The engine panicked mid-solve: fail the whole batch instead
 			// of hanging it, discard the workspace (its buffers are in an
 			// unknown state), and keep the worker alive for the next batch.
@@ -544,38 +489,6 @@ func (e *Executor) solveBatch(eng *core.Engine, batch []*request, ctxs []context
 	res, stats, errs := eng.QueryVectorBatch(ctxs, qs, ws)
 	for i, br := range batch {
 		br.res, br.stats, br.err = res[i], stats[i], errs[i]
-	}
-	return nil
-}
-
-// solveTopKBatch runs a k-class batch through the bounded top-k engine
-// path, with the same panic barrier as solveBatch. Each member's Schur
-// solve halts on its own gap certificate, so the batch completes when its
-// last unresolved member does — nobody waits past that.
-func (e *Executor) solveTopKBatch(eng *core.Engine, batch []*request, ctxs []context.Context, qs [][]float64, ws *core.Workspace) (panicErr error) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.m.panics.Add(1)
-			panicErr = fmt.Errorf("%w: %v", ErrSolvePanicked, p)
-		}
-	}()
-	ks := make([]int, len(batch))
-	excl := make([]int, len(batch))
-	for i, br := range batch {
-		ks[i], excl[i] = br.k, br.exclude
-	}
-	tops, res, stats, errs := eng.TopKBoundedBatch(ctxs, qs, excl, ks, ws)
-	for i, br := range batch {
-		br.top, br.res, br.err = tops[i], res[i], errs[i]
-		br.stats = stats[i].QueryStats
-		br.early, br.saved = stats[i].EarlyStopped, stats[i].SavedIters
-		if errs[i] == nil {
-			e.m.topk.Add(1)
-			if stats[i].EarlyStopped {
-				e.m.early.Add(1)
-				e.obs.TopKSaved.Observe(float64(stats[i].SavedIters))
-			}
-		}
 	}
 	return nil
 }
@@ -666,29 +579,19 @@ func (e *Executor) do(ctx context.Context, q []float64, eng *core.Engine, qo *qu
 		defer cancel()
 	}
 	r := &request{ctx: ctx, q: q, eng: eng, done: make(chan struct{}), at: qo.at, enq: e.obs.Now()}
-	if err := e.await(ctx, r, qo); err != nil {
-		return nil, core.QueryStats{}, err
-	}
-	return r.res, r.stats, r.err
-}
-
-// await submits a prepared request and waits for the worker or the
-// caller's context, whichever ends first. A nil return means the worker
-// completed the request (r.err may still carry the solve's error).
-func (e *Executor) await(ctx context.Context, r *request, qo *queryObs) error {
 	if err := e.submit(r); err != nil {
-		return err
+		return nil, core.QueryStats{}, err
 	}
 	select {
 	case <-r.done:
-		return nil
+		return r.res, r.stats, r.err
 	case <-ctx.Done():
 		// The worker sees the same context and aborts the solve; the
 		// requester does not wait for it. The worker may still append
 		// spans to the trace afterwards, so the trace is abandoned
 		// (never finished) instead of raced.
 		qo.abandoned = true
-		return ctx.Err()
+		return nil, core.QueryStats{}, ctx.Err()
 	}
 }
 
@@ -801,15 +704,12 @@ func (e *Executor) Personalized(ctx context.Context, q []float64) (Result, error
 	return res, nil
 }
 
-// TopK returns the k highest-scoring nodes for a seed (seed excluded).
-// By default it runs the bound-pruned search: the Schur solve halts as
-// soon as the engine's accuracy certificate proves the top-k SET is
-// settled (see core.Engine.TopKBounded), which is provably the same set a
-// full solve would rank — only the returned Scores may be early-stopped
-// approximations (Result.EarlyStopped). A cached or in-flight full vector
-// for the seed short-circuits the solve entirely: any k ranks out of a
-// full vector for free. Config.FullSolveTopK, k <= 0, and k covering the
-// whole graph all fall back to TopKFull.
+// TopK returns the k highest-scoring nodes for a seed (seed excluded) by
+// ranking the seed's full-tolerance score vector, served through the
+// cache, singleflight and batched pool like Query: a cached or in-flight
+// vector answers any k without a solve, and a solved one enters the cache.
+// The ranking runs inside the query's observation window, so traces gain a
+// "rank" span and the latency histogram covers it.
 func (e *Executor) TopK(ctx context.Context, seed, k int) ([]core.Ranked, Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -818,144 +718,15 @@ func (e *Executor) TopK(ctx context.Context, seed, k int) ([]core.Ranked, Result
 	if seed < 0 || seed >= eng.N() {
 		return nil, Result{}, fmt.Errorf("qexec: seed %d out of range [0,%d)", seed, eng.N())
 	}
-	if e.cfg.FullSolveTopK || k <= 0 || k >= eng.N() {
-		return e.TopKFull(ctx, seed, k)
-	}
 	qo := e.startQuery(ctx, "topk", seed)
-	top, res, err := e.runTopK(ctx, seed, k, eng, gen, &qo)
-	e.finish(&qo, "topk", seed, &res, err)
-	return top, res, err
-}
-
-// TopKFull ranks the seed's full-tolerance score vector — the pre-bounded
-// TopK behavior, served through the cache and pool like Query. It is the
-// path for callers that need exact scores alongside the exact set (the
-// cluster tier's weighted merges, debugging, A-B baselines). The ranking
-// runs inside the query's observation window, so traces gain a "rank"
-// span and the latency histogram covers it.
-func (e *Executor) TopKFull(ctx context.Context, seed, k int) ([]core.Ranked, Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	eng, gen := e.engine()
-	if seed < 0 || seed >= eng.N() {
-		return nil, Result{}, fmt.Errorf("qexec: seed %d out of range [0,%d)", seed, eng.N())
-	}
-	qo := e.startQuery(ctx, "query", seed)
 	res, err := e.run(ctx, seed, eng, gen, &qo)
 	if err != nil {
-		e.finish(&qo, "query", seed, &res, err)
+		e.finish(&qo, "topk", seed, &res, err)
 		return nil, Result{}, err
 	}
 	tr := e.obs.Now()
 	top := core.RankTopK(res.Scores, k, seed)
 	e.span(qo.at, "rank", tr)
-	e.finish(&qo, "query", seed, &res, nil)
+	e.finish(&qo, "topk", seed, &res, nil)
 	return top, res, nil
-}
-
-// runTopK is the execution core of a bounded top-k query: rank a cached
-// or in-flight full vector if one exists (any k is served by a full
-// vector without a solve), coalesce onto an identical (seed, k) bounded
-// solve, or lead one through the k-class batched pool.
-func (e *Executor) runTopK(ctx context.Context, seed, k int, eng *core.Engine, gen uint64, qo *queryObs) ([]core.Ranked, Result, error) {
-	if e.cache != nil {
-		scores, ok := e.cache.get(seed, gen)
-		e.span(qo.at, "cache", qo.start)
-		if ok {
-			e.m.hits.Add(1)
-			qo.at.SetCached()
-			tr := e.obs.Now()
-			top := core.RankTopK(scores, k, seed)
-			e.span(qo.at, "rank", tr)
-			return top, Result{Scores: scores, Cached: true, Generation: gen}, nil
-		}
-	}
-	e.m.misses.Add(1)
-
-	key := tkKey{seed: seed, k: k, gen: gen}
-	e.fmu.Lock()
-	// A full-vector solve already in flight for this seed will deliver
-	// full-tolerance scores; ranking those answers any k, so join it
-	// rather than starting a redundant bounded solve.
-	if f, ok := e.flights[seed]; ok && f.gen == gen {
-		e.fmu.Unlock()
-		e.m.coalesced.Add(1)
-		tw := e.obs.Now()
-		select {
-		case <-f.done:
-			e.span(qo.at, "coalesce", tw)
-			qo.at.SetCoalesced()
-			if f.err != nil {
-				return nil, Result{}, f.err
-			}
-			qo.at.SetSolve(f.stats.Iterations, f.stats.Residual)
-			tr := e.obs.Now()
-			top := core.RankTopK(f.res, k, seed)
-			e.span(qo.at, "rank", tr)
-			return top, Result{Scores: f.res, Stats: f.stats, Coalesced: true, Generation: f.gen}, nil
-		case <-ctx.Done():
-			return nil, Result{}, ctx.Err()
-		}
-	}
-	if f, ok := e.tkFlights[key]; ok {
-		e.fmu.Unlock()
-		e.m.coalesced.Add(1)
-		tw := e.obs.Now()
-		select {
-		case <-f.done:
-			e.span(qo.at, "coalesce", tw)
-			qo.at.SetCoalesced()
-			if f.err != nil {
-				return nil, Result{}, f.err
-			}
-			res := f.res
-			res.Coalesced = true
-			qo.at.SetSolve(res.Stats.Iterations, res.Stats.Residual)
-			return f.top, res, nil
-		case <-ctx.Done():
-			return nil, Result{}, ctx.Err()
-		}
-	}
-	f := &tkFlight{done: make(chan struct{})}
-	e.tkFlights[key] = f
-	e.fmu.Unlock()
-
-	// Same release discipline as run(): the flight must open no matter how
-	// the solve ends, and the map entry goes before the channel closes.
-	defer func() {
-		e.fmu.Lock()
-		if e.tkFlights[key] == f {
-			delete(e.tkFlights, key)
-		}
-		e.fmu.Unlock()
-		close(f.done)
-	}()
-
-	if e.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.Timeout)
-		defer cancel()
-	}
-	q := make([]float64, eng.N())
-	q[seed] = 1
-	r := &request{ctx: ctx, q: q, eng: eng, done: make(chan struct{}),
-		at: qo.at, enq: e.obs.Now(), k: k, exclude: seed}
-	if err := e.await(ctx, r, qo); err != nil {
-		f.err = err
-		return nil, Result{}, err
-	}
-	if r.err != nil {
-		f.err = r.err
-		return nil, Result{}, r.err
-	}
-	res := Result{Scores: r.res, Stats: r.stats, Generation: gen,
-		EarlyStopped: r.early, SavedIters: r.saved}
-	// Early-stopped vectors are exact only as a top-k SET, not as scores:
-	// they never enter the cache, which holds full-tolerance vectors only.
-	if e.cache != nil && !r.early {
-		e.cache.put(seed, r.res, gen)
-	}
-	f.top, f.res = r.top, res
-	return r.top, res, nil
 }

@@ -3,16 +3,17 @@ package qexec
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"bepi/internal/core"
 	"bepi/internal/gen"
+	"bepi/internal/graph"
 )
 
-// skewedEng builds a fresh hub-heavy engine on which the bounded top-k
-// certificate actually fires (the shared eng(t) fixture is too small and
-// uniform to exercise early stopping reliably).
+// skewedEng builds a fresh hub-heavy R-MAT engine, large enough that a
+// query takes several solver iterations.
 func skewedEng(t testing.TB) *core.Engine {
 	t.Helper()
 	g := gen.RMAT(gen.DefaultRMAT(9, 8, 42))
@@ -20,35 +21,29 @@ func skewedEng(t testing.TB) *core.Engine {
 	if err != nil {
 		t.Fatalf("preprocess: %v", err)
 	}
-	if err := e.CalibrateBound(); err != nil {
-		t.Fatalf("CalibrateBound: %v", err)
-	}
 	return e
 }
 
-// sameTopKSet fails unless both rankings name the same node set.
-func sameTopKSet(t *testing.T, tag string, want, got []core.Ranked) {
+// sameRanking fails unless both rankings agree node for node and score for
+// score, bit for bit.
+func sameRanking(t *testing.T, tag string, want, got []core.Ranked) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: size mismatch: want %d, got %d", tag, len(want), len(got))
 	}
-	set := make(map[int]bool, len(want))
-	for _, r := range want {
-		set[r.Node] = true
-	}
-	for _, r := range got {
-		if !set[r.Node] {
-			t.Fatalf("%s: node %d not in expected top-k\nwant %v\ngot  %v", tag, r.Node, want, got)
+	for i := range want {
+		if want[i].Node != got[i].Node || math.Float64bits(want[i].Score) != math.Float64bits(got[i].Score) {
+			t.Fatalf("%s: rank %d differs\nwant %v\ngot  %v", tag, i, want, got)
 		}
 	}
 }
 
-// TestTopKMatchesFullSolve checks the executor's bounded TopK returns the
-// same set as the engine's full solve across seeds and ks, and that the
-// bounded path is actually taken (TopKSolves counted).
+// TestTopKMatchesFullSolve checks the executor's TopK ranks exactly what
+// the engine's TopK ranks, across seeds and ks, with the cache off so
+// every call solves.
 func TestTopKMatchesFullSolve(t *testing.T) {
 	e := skewedEng(t)
-	ex := New(e, Config{CacheEntries: -1}) // no cache: force the bounded path
+	ex := New(e, Config{CacheEntries: -1})
 	defer ex.Close()
 	ctx := context.Background()
 	for _, seed := range []int{0, 7, 123} {
@@ -61,15 +56,64 @@ func TestTopKMatchesFullSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameTopKSet(t, fmt.Sprintf("seed %d k %d early=%v", seed, k, res.EarlyStopped), want, got)
+			if res.Cached {
+				t.Fatalf("seed %d k %d: cache hit with the cache disabled", seed, k)
+			}
+			sameRanking(t, fmt.Sprintf("seed %d k %d", seed, k), want, got)
 		}
 	}
-	m := ex.Metrics()
-	if m.TopKSolves == 0 {
-		t.Fatal("no bounded top-k solves counted — TopK is not routing to the bounded path")
+}
+
+// TestTopKCachedOnSecondCall is the cache regression test: a TopK solve
+// stores its full-tolerance vector, so the same TopK again is a cache hit,
+// and both rankings equal core.Engine.TopK bit for bit. It runs on a
+// skewed R-MAT graph and on the pathological graphs of the core tests.
+func TestTopKCachedOnSecondCall(t *testing.T) {
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		seeds []int
+	}{
+		{"rmat", gen.RMAT(gen.DefaultRMAT(9, 8, 42)), []int{0, 7, 123, 400}},
+		{"near-uniform-ring", gen.WattsStrogatz(300, 6, 0, 7), []int{0, 149}},
+		{"all-deadends", graph.MustNew(5, nil), []int{2}},
+		{"self-loop-only", graph.MustNew(3, []graph.Edge{{Src: 0, Dst: 0}}), []int{0, 1}},
+		{"deadend-star", graph.MustNew(4, []graph.Edge{{Src: 0, Dst: 3}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}}), []int{0, 3}},
+		{"two-cycle", graph.MustNew(2, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}}), []int{0}},
 	}
-	if m.EarlyStops == 0 {
-		t.Fatal("no early stops on a skewed graph — the certificate never fired")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := core.Preprocess(tc.g, core.Options{Variant: core.VariantFull, HubRatio: 0.2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := New(e, Config{})
+			defer ex.Close()
+			ctx := context.Background()
+			for _, seed := range tc.seeds {
+				const k = 10
+				want, err := e.TopK(seed, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, res, err := ex.TopK(ctx, seed, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Cached {
+					t.Fatalf("seed %d: first TopK cannot be a cache hit", seed)
+				}
+				sameRanking(t, fmt.Sprintf("seed %d first", seed), want, first)
+				second, res, err := ex.TopK(ctx, seed, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Cached {
+					t.Fatalf("seed %d: second TopK was not served from the cache", seed)
+				}
+				sameRanking(t, fmt.Sprintf("seed %d second", seed), want, second)
+			}
+		})
 	}
 }
 
@@ -98,8 +142,7 @@ func TestTopKCacheHitAnyK(t *testing.T) {
 	if !res.Cached {
 		t.Fatal("TopK after Query must be served from the cached full vector")
 	}
-	want := core.RankTopK(full.Scores, 5, seed)
-	sameTopKSet(t, "k=5", want, top)
+	sameRanking(t, "k=5", core.RankTopK(full.Scores, 5, seed), top)
 
 	// Larger k than anything asked before: still a hit, still no solve.
 	top, res, err = ex.TopK(ctx, seed, 50)
@@ -109,74 +152,16 @@ func TestTopKCacheHitAnyK(t *testing.T) {
 	if !res.Cached {
 		t.Fatal("larger-k TopK must still rank the cached full vector, not re-solve")
 	}
-	want = core.RankTopK(full.Scores, 50, seed)
-	sameTopKSet(t, "k=50", want, top)
+	sameRanking(t, "k=50", core.RankTopK(full.Scores, 50, seed), top)
 
 	if m := ex.Metrics(); m.Executed != executed {
 		t.Fatalf("cache-served TopK ran a solve: executed %d -> %d", executed, m.Executed)
 	}
-	if m := ex.Metrics(); m.TopKSolves != 0 {
-		t.Fatalf("cache-served TopK counted %d bounded solves", m.TopKSolves)
-	}
-}
-
-// TestTopKEarlyStopNotCached pins the cache policy: an early-stopped score
-// vector is exact only as a set, so it must never enter the full-vector
-// cache — a Query on the same seed afterwards must solve, not hit.
-func TestTopKEarlyStopNotCached(t *testing.T) {
-	e := skewedEng(t)
-	ex := New(e, Config{})
-	defer ex.Close()
-	ctx := context.Background()
-	var earlySeed = -1
-	for seed := 0; seed < 32; seed++ {
-		_, res, err := ex.TopK(ctx, seed, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.EarlyStopped {
-			earlySeed = seed
-			break
-		}
-	}
-	if earlySeed < 0 {
-		t.Fatal("no early stop across 32 seeds on a skewed graph")
-	}
-	res, err := ex.Query(ctx, earlySeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cached {
-		t.Fatal("early-stopped top-k vector leaked into the full-vector cache")
-	}
-}
-
-// TestTopKFullSolveConfig checks the escape hatch: with FullSolveTopK set,
-// TopK never routes to the bounded path.
-func TestTopKFullSolveConfig(t *testing.T) {
-	e := skewedEng(t)
-	ex := New(e, Config{CacheEntries: -1, FullSolveTopK: true})
-	defer ex.Close()
-	top, res, err := ex.TopK(context.Background(), 7, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EarlyStopped {
-		t.Fatal("FullSolveTopK result marked early-stopped")
-	}
-	want, err := e.TopK(7, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTopKSet(t, "full-solve", want, top)
-	if m := ex.Metrics(); m.TopKSolves != 0 {
-		t.Fatalf("FullSolveTopK still counted %d bounded solves", m.TopKSolves)
-	}
 }
 
 // TestTopKParallelCoalesce races many TopK calls — identical (seed, k)
-// twins that should coalesce onto one bounded flight, plus mixed k-classes
-// and full-vector queries interleaved — under the race detector.
+// twins that should coalesce onto one flight, TopKs on other seeds, and
+// full-vector queries interleaved — under the race detector.
 func TestTopKParallelCoalesce(t *testing.T) {
 	e := skewedEng(t)
 	ex := New(e, Config{})
@@ -193,23 +178,23 @@ func TestTopKParallelCoalesce(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			switch w % 3 {
-			case 0: // identical bounded twins — coalesce candidates
+			case 0: // identical twins — coalesce candidates
 				top, _, err := ex.TopK(ctx, 11, 10)
 				if err != nil {
 					errCh <- err
 					return
 				}
-				set := make(map[int]bool, len(want))
-				for _, r := range want {
-					set[r.Node] = true
+				if len(top) != len(want) {
+					errCh <- fmt.Errorf("worker %d: %d results, want %d", w, len(top), len(want))
+					return
 				}
-				for _, r := range top {
-					if !set[r.Node] {
-						errCh <- fmt.Errorf("worker %d: node %d not in expected set", w, r.Node)
+				for i := range want {
+					if top[i] != want[i] {
+						errCh <- fmt.Errorf("worker %d: rank %d is %v, want %v", w, i, top[i], want[i])
 						return
 					}
 				}
-			case 1: // different k-class member on another seed
+			case 1: // another seed and k
 				if _, _, err := ex.TopK(ctx, (w*37)%e.N(), 5); err != nil {
 					errCh <- err
 				}

@@ -139,8 +139,6 @@ func (c *Core) MetricsSnapshot() obs.MetricsSnapshot {
 			"shed":              xm.Shed,
 			"engine_swaps":      xm.EngineSwaps,
 			"solve_panics":      xm.SolvePanics,
-			"topk_solves":       xm.TopKSolves,
-			"topk_early_stops":  xm.EarlyStops,
 			"slow_queries":      slow,
 			"solver_iterations": o.SolverIters.Load(),
 			"kernel_bytes":      o.KernelBytes.Load(),
@@ -312,11 +310,6 @@ type QueryRequest struct {
 	TopK int
 	// Full returns the whole score vector instead of a ranking.
 	Full bool
-	// Exact forces the ranking to come from a full-tolerance solve instead
-	// of the default bound-pruned search. Both return the identical top-k
-	// SET; Exact additionally guarantees the reported scores are at full
-	// solver tolerance (the cluster tier's weighted merges need that).
-	Exact bool
 	// Debug attaches solver/stage detail to the response.
 	Debug bool
 }
@@ -341,17 +334,11 @@ func (c *Core) Query(ctx context.Context, req QueryRequest) (QueryResponse, erro
 	var res qexec.Result
 	var top []core.Ranked
 	var err error
-	switch {
-	case req.Full:
+	if req.Full {
 		res, err = c.exec.Query(ctx, req.Seed)
-	case req.Exact:
-		// Full-tolerance solve + rank: exact scores, not just the exact set.
-		top, res, err = c.exec.TopKFull(ctx, req.Seed, topk)
-	default:
-		// Bound-pruned search: the Schur solve stops as soon as the top-k
-		// set is certified, a cached full vector is ranked without touching
-		// the engine. Ranking runs inside the executor so traces carry the
-		// "rank" span.
+	} else {
+		// Ranking runs inside the executor so traces carry the "rank" span;
+		// a cached full vector is ranked without touching the engine.
 		top, res, err = c.exec.TopK(ctx, req.Seed, topk)
 	}
 	if err != nil {
@@ -361,13 +348,12 @@ func (c *Core) Query(ctx context.Context, req QueryRequest) (QueryResponse, erro
 	c.queries.Add(1)
 	c.queryNanos.Add(time.Since(start).Nanoseconds())
 	resp := QueryResponse{
-		Seed:         req.Seed,
-		Iterations:   res.Stats.Iterations,
-		DurationMS:   float64(time.Since(start).Microseconds()) / 1000,
-		Cached:       res.Cached,
-		EarlyStopped: res.EarlyStopped,
-		Generation:   res.Generation,
-		IndexHash:    c.hashFor(res.Generation),
+		Seed:       req.Seed,
+		Iterations: res.Stats.Iterations,
+		DurationMS: float64(time.Since(start).Microseconds()) / 1000,
+		Cached:     res.Cached,
+		Generation: res.Generation,
+		IndexHash:  c.hashFor(res.Generation),
 	}
 	if req.Debug {
 		resp.Debug = queryDebug(res)
@@ -472,12 +458,6 @@ type MetricsResponse struct {
 	HitRate       float64 `json:"hit_rate"`
 	AvgBatchSize  float64 `json:"avg_batch_size"`
 
-	// Bounded top-k path: how many queries took it, how many of those the
-	// certificate stopped early, and the distribution of iterations saved.
-	TopKSolves int64            `json:"topk_solves"`
-	EarlyStops int64            `json:"topk_early_stops"`
-	TopKSaved  IterationSummary `json:"topk_iters_saved"`
-
 	// Observability layer: solver progress, latency quantiles, slow queries.
 	SolverIters  int64          `json:"solver_iters_total"`
 	SlowQueries  int64          `json:"slow_queries"`
@@ -580,9 +560,6 @@ func (c *Core) Metrics() MetricsResponse {
 		Queued:          xm.Queued,
 		HitRate:         xm.HitRate(),
 		AvgBatchSize:    xm.AvgBatchSize(),
-		TopKSolves:      xm.TopKSolves,
-		EarlyStops:      xm.EarlyStops,
-		TopKSaved:       summarizeIters(o.TopKSaved),
 		SolverIters:     o.SolverIters.Load(),
 		SlowQueries:     slow,
 		QueryLatency:    summarize(o.QueryLatency),

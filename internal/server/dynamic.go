@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
@@ -99,8 +98,8 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EdgesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad JSON body: %v", err)
+	if status, err := DecodeBody(w, r, &req); err != nil {
+		s.fail(w, status, "%v", err)
 		return
 	}
 	if req.AddNodes < 0 {

@@ -94,13 +94,6 @@ func (s *Server) writeProm(p *obs.PromWriter) {
 	p.Gauge("bepi_kernel_achieved_bytes_per_second", "Achieved memory bandwidth of the observed solve kernels (cumulative bytes over seconds).", o.AchievedBandwidth())
 	p.Gauge("bepi_stream_bytes_per_second", "Measured STREAM-triad memory-bandwidth roof of this host.", sparse.StreamBandwidth())
 
-	// Bounded top-k path.
-	p.Counter("bepi_topk_solves_total", "Queries solved through the bounded top-k path.", float64(xm.TopKSolves))
-	p.Counter("bepi_topk_early_stops_total", "Bounded top-k solves stopped early by the certificate.", float64(xm.EarlyStops))
-	if o.TopKSaved != nil {
-		p.Histogram("bepi_topk_iters_saved", "Estimated solver iterations saved per early-stopped top-k solve.", o.TopKSaved.Snapshot())
-	}
-
 	// Dynamic-update subsystem: rebuild cost, buffered updates, and the
 	// generation the executor is serving from.
 	if o.Rebuild != nil {
@@ -259,25 +252,6 @@ type LatencySummary struct {
 	P50MS float64 `json:"p50_ms"`
 	P90MS float64 `json:"p90_ms"`
 	P99MS float64 `json:"p99_ms"`
-}
-
-// IterationSummary is the JSON quantile summary of an iteration-count
-// histogram (dimensionless, unlike LatencySummary's milliseconds).
-type IterationSummary struct {
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-func summarizeIters(h *obs.Histogram) IterationSummary {
-	s := h.Snapshot()
-	return IterationSummary{
-		Count: int64(s.Count),
-		P50:   s.Quantile(0.50),
-		P90:   s.Quantile(0.90),
-		P99:   s.Quantile(0.99),
-	}
 }
 
 func summarize(h *obs.Histogram) LatencySummary {

@@ -66,8 +66,8 @@ func parseProm(t *testing.T, body string) map[string]*promFamily {
 func TestMetricsPrometheus(t *testing.T) {
 	s, _ := testServer(t)
 	defer s.Close()
-	get(t, s, "/query?seed=1&exact=true") // cacheable full-tolerance solve
-	get(t, s, "/query?seed=1")            // cache hit
+	get(t, s, "/query?seed=1") // solve, cached
+	get(t, s, "/query?seed=1") // cache hit
 	get(t, s, "/query?seed=2")
 
 	req := httptest.NewRequest(http.MethodGet, "/metrics.prom", nil)
@@ -175,11 +175,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 func TestDebugTraces(t *testing.T) {
 	s, _ := testServer(t)
 	defer s.Close()
-	// exact=true pins the solve to the full path: its vector is always
-	// cached (bound-pruned solves may stop early and skip the cache) and
-	// its trace carries the executor-side "rank" span (the bounded path
-	// ranks inside the engine batch instead).
-	get(t, s, "/query?seed=3&exact=true")
+	get(t, s, "/query?seed=3")
 	get(t, s, "/query?seed=3") // hit: ranks the cached full vector
 	rec, body := get(t, s, "/debug/traces?n=10")
 	if rec.Code != http.StatusOK {
@@ -216,10 +212,9 @@ func TestDebugTraces(t *testing.T) {
 func TestQueryDebugParam(t *testing.T) {
 	s, _ := testServer(t)
 	defer s.Close()
-	// exact=true makes the warmup's full-tolerance vector cacheable, so the
-	// replay below is a deterministic hit (a bound-pruned solve may stop
-	// early, and early-stopped vectors never enter the cache).
-	_, body := get(t, s, "/query?seed=4&debug=1&exact=true")
+	// The warmup's vector enters the cache, so the replay below is a
+	// deterministic hit.
+	_, body := get(t, s, "/query?seed=4&debug=1")
 	dbg, ok := body["debug"].(map[string]any)
 	if !ok {
 		t.Fatalf("no debug block: %v", body)
@@ -258,10 +253,9 @@ func TestQueryDebugParam(t *testing.T) {
 func TestMetricsJSONObservability(t *testing.T) {
 	s, _ := testServer(t)
 	defer s.Close()
-	// exact=true warmup guarantees a cacheable full-tolerance vector (a
-	// bound-pruned solve may stop early and skip the cache); the repeat is
-	// then a deterministic hit.
-	get(t, s, "/query?seed=5&exact=true")
+	// The warmup's vector enters the cache; the repeat is a deterministic
+	// hit.
+	get(t, s, "/query?seed=5")
 	get(t, s, "/query?seed=5")
 	_, body := get(t, s, "/metrics")
 	prep, ok := body["prep"].(map[string]any)

@@ -109,15 +109,12 @@ func TestMixedTrafficConcurrency(t *testing.T) {
 }
 
 // TestQexecMetricsExposed checks /metrics carries the execution-subsystem
-// counters: a repeated seed must show up as a cache hit. The warmup query
-// asks for exact=true so its full-tolerance vector enters the cache (a
-// bound-pruned query may stop early, and early-stopped vectors are never
-// cached); the repeat is a default bounded query served by ranking that
-// cached vector.
+// counters: a repeated seed must show up as a cache hit, served by ranking
+// the vector the warmup query cached.
 func TestQexecMetricsExposed(t *testing.T) {
 	s, _ := testServer(t)
 	defer s.Close()
-	get(t, s, "/query?seed=4&exact=true")
+	get(t, s, "/query?seed=4")
 	rec, body := get(t, s, "/query?seed=4")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)

@@ -28,8 +28,7 @@
 //	GET  /debug/traces?n=K                 recent per-query stage traces
 //	GET  /debug/traces?trace=ID            traces belonging to one trace ID
 //	GET  /debug/events?n=K                 flight-recorder events, newest first
-//	GET  /query?seed=N&topk=K              top-K ranking for a seed (bound-pruned)
-//	GET  /query?seed=N&topk=K&exact=true   same set from a full-tolerance solve
+//	GET  /query?seed=N&topk=K              top-K ranking for a seed
 //	GET  /query?seed=N&full=true           the full score vector
 //	GET  /query?seed=N&debug=1             adds solver/stage detail
 //	GET  /query?seed=N&trace=1             forces a trace; the X-Bepi-Trace
@@ -40,6 +39,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -123,6 +123,27 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// MaxBodyBytes caps the JSON request body of every POST endpoint, on the
+// shards and on the cluster coordinator alike. A larger body is refused
+// with 413 before it is decoded in full.
+const MaxBodyBytes = 1 << 20
+
+// DecodeBody decodes a JSON request body of at most MaxBodyBytes into v.
+// On failure it returns the status to answer with — 413 for an oversize
+// body, 400 for malformed JSON — and an error message for the client.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes)
+	default:
+		return http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err)
+	}
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -204,13 +225,9 @@ type QueryResponse struct {
 	Iterations int           `json:"iterations"`
 	DurationMS float64       `json:"duration_ms"`
 	Cached     bool          `json:"cached,omitempty"`
-	// EarlyStopped means the ranking came from a bound-certified
-	// early-stopped solve: the top-k SET is exact, the scores shown are
-	// within the certified error radius of the true values.
-	EarlyStopped bool        `json:"early_stopped,omitempty"`
-	Generation   uint64      `json:"generation"`
-	IndexHash    string      `json:"index_hash,omitempty"`
-	Debug        *QueryDebug `json:"debug,omitempty"`
+	Generation uint64        `json:"generation"`
+	IndexHash  string        `json:"index_hash,omitempty"`
+	Debug      *QueryDebug   `json:"debug,omitempty"`
 }
 
 // QueryDebug is the per-query solver and stage detail returned when the
@@ -260,7 +277,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req := QueryRequest{
 		Seed:  seed,
 		Full:  r.URL.Query().Get("full") == "true",
-		Exact: r.URL.Query().Get("exact") == "true",
 		Debug: r.URL.Query().Get("debug") == "1",
 	}
 	if v := r.URL.Query().Get("topk"); v != "" {
@@ -314,8 +330,8 @@ func (s *Server) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PersonalizedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if status, err := DecodeBody(w, r, &req); err != nil {
+		s.fail(w, status, "%v", err)
 		return
 	}
 	weights := make(map[int]float64, len(req.Weights))

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"bepi"
@@ -89,43 +90,6 @@ func TestQueryTopK(t *testing.T) {
 			t.Fatal("top not sorted")
 		}
 		prev = score
-	}
-}
-
-// TestQueryExactParam checks the ?exact=true escape hatch: the ranking
-// must name the same node set as the default bound-pruned path, and an
-// exact response is never marked early-stopped.
-func TestQueryExactParam(t *testing.T) {
-	s, _ := testServer(t)
-	rec, exact := get(t, s, "/query?seed=6&topk=8&exact=true")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %v", rec.Code, exact)
-	}
-	if exact["early_stopped"] == true {
-		t.Fatalf("exact query marked early_stopped: %v", exact)
-	}
-	set := map[float64]bool{}
-	for _, e := range exact["top"].([]any) {
-		set[e.(map[string]any)["node"].(float64)] = true
-	}
-	// Fresh server so the bounded query can't just rank the cached vector.
-	s2, _ := testServer(t)
-	_, bounded := get(t, s2, "/query?seed=6&topk=8")
-	top := bounded["top"].([]any)
-	if len(top) != len(set) {
-		t.Fatalf("bounded top has %d entries, exact %d", len(top), len(set))
-	}
-	for _, e := range top {
-		if node := e.(map[string]any)["node"].(float64); !set[node] {
-			t.Fatalf("bounded top-k node %v not in exact set %v", node, exact["top"])
-		}
-	}
-	_, metrics := get(t, s2, "/metrics")
-	if _, ok := metrics["topk_solves"]; !ok {
-		t.Fatalf("metrics lack topk_solves: %v", metrics)
-	}
-	if _, ok := metrics["topk_iters_saved"]; !ok {
-		t.Fatalf("metrics lack topk_iters_saved: %v", metrics)
 	}
 }
 
@@ -267,6 +231,38 @@ func TestPersonalizedRejectsOverflowingSumHTTP(t *testing.T) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d want 400: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestOversizeBodiesRejected: a POST body beyond MaxBodyBytes is a 413 on
+// both decoding endpoints, counted as an error, even when it is otherwise
+// valid JSON (the padding field is one the decoder would ignore).
+func TestOversizeBodiesRejected(t *testing.T) {
+	pad := strings.Repeat("x", MaxBodyBytes)
+	static, _ := testServer(t)
+	defer static.Close()
+	dyn, d := testDynamicServer(t)
+	for _, tc := range []struct {
+		s    *Server
+		path string
+		body string
+	}{
+		{static, "/personalized", `{"weights":{"1":1},"topk":3,"pad":"` + pad + `"}`},
+		{dyn, "/edges", `{"add":[{"src":0,"dst":1}],"pad":"` + pad + `"}`},
+	} {
+		errs := tc.s.Core().Metrics().Errors
+		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		tc.s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d want 413: %.200s", tc.path, rec.Code, rec.Body.String())
+		}
+		if got := tc.s.Core().Metrics().Errors; got != errs+1 {
+			t.Errorf("%s: errors %d -> %d, want one more", tc.path, errs, got)
+		}
+	}
+	if p := d.Pending(); p != 0 {
+		t.Fatalf("oversize /edges body buffered %d updates", p)
 	}
 }
 

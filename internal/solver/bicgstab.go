@@ -105,19 +105,12 @@ func BiCGSTAB(a Operator, b []float64, opts GMRESOptions) ([]float64, Stats, err
 		if opts.OnIteration != nil {
 			opts.OnIteration(iter, stats.Residual)
 		}
-		if opts.Probe != nil {
-			opts.Probe(iter, stats.Residual, func() []float64 { return x })
-		}
 		if opts.Callback != nil {
 			opts.Callback(iter, x)
 		}
 		if stats.Residual <= opts.Tol {
 			stats.Converged = true
 			stats.StopReason = StopTolerance
-			return x, stats, nil
-		}
-		if opts.StopWhen != nil && opts.StopWhen(iter, stats.Residual) {
-			stats.StopReason = StopEarly
 			return x, stats, nil
 		}
 		if omega == 0 {

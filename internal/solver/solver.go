@@ -50,9 +50,6 @@ const (
 	// ("lucky") breakdown: the subspace closed and the iterate is exact to
 	// working precision even though the measured residual may sit above Tol.
 	StopBreakdown
-	// StopEarly means Options.StopWhen asked for the halt: the caller's own
-	// convergence criterion was met before the residual reached Tol.
-	StopEarly
 	// StopMaxIter means the iteration limit was exhausted; the solve
 	// returned ErrNotConverged.
 	StopMaxIter
@@ -65,8 +62,6 @@ func (r StopReason) String() string {
 		return "tolerance"
 	case StopBreakdown:
 		return "breakdown"
-	case StopEarly:
-		return "early"
 	case StopMaxIter:
 		return "maxiter"
 	default:
@@ -79,9 +74,8 @@ type Stats struct {
 	Iterations int     // matrix-vector products consumed
 	Residual   float64 // final relative residual
 	Converged  bool
-	// StopReason says which rule ended the solve; in particular StopEarly
-	// distinguishes a StopWhen halt (Converged false, nil error) from a
-	// genuine tolerance stop.
+	// StopReason says which rule ended the solve; in particular it
+	// distinguishes a lucky breakdown from a genuine tolerance stop.
 	StopReason StopReason
 }
 
@@ -109,23 +103,6 @@ type GMRESOptions struct {
 	// does not assemble the iterate — it is a couple of loads per call —
 	// so the serving path uses it for live convergence telemetry.
 	OnIteration func(iter int, residual float64)
-	// Probe, if non-nil, is invoked after every iteration like OnIteration,
-	// but additionally receives a thunk that assembles the current iterate
-	// on demand. Calling the thunk costs what Callback costs every step (a
-	// triangular solve plus a basis combination for GMRES); not calling it
-	// costs nothing, so a caller that inspects the iterate only on selected
-	// iterations — the bounded top-k search — pays only for those. The
-	// returned slice is valid until the solver's next iteration and must
-	// not be mutated.
-	Probe func(iter int, residual float64, iterate func() []float64)
-	// StopWhen, if non-nil, is consulted after every iteration (after
-	// OnIteration/Probe/Callback have observed it); returning true halts
-	// the solve at the current iterate with a nil error, Converged false,
-	// and Stats.StopReason = StopEarly. Meeting Tol on the same iteration
-	// wins: the solve then reports an ordinary converged stop. This is the
-	// caller-owned convergence criterion behind exact top-k early
-	// termination.
-	StopWhen func(iter int, residual float64) bool
 	// Ctx, if non-nil, is checked once per iteration; when it is done the
 	// solve aborts with an error wrapping ctx.Err(). This is how per-query
 	// deadlines reach the innermost loop of the serving path.
@@ -216,7 +193,6 @@ func GMRES(a Operator, b []float64, opts GMRESOptions) ([]float64, Stats, error)
 		g[0] = beta
 
 		converged := false
-		stopped := false
 		steps := 0
 		for j := 0; j < m; j++ {
 			if err := opts.ctxErr(); err != nil {
@@ -256,21 +232,12 @@ func GMRES(a Operator, b []float64, opts GMRESOptions) ([]float64, Stats, error)
 			if opts.OnIteration != nil {
 				opts.OnIteration(stats.Iterations, stats.Residual)
 			}
-			if opts.Probe != nil {
-				opts.Probe(stats.Iterations, stats.Residual, func() []float64 {
-					return assemble(arena{n: n}, x, v, h, g, steps)
-				})
-			}
 			if opts.Callback != nil {
 				xj := assemble(arena{n: n}, x, v, h, g, steps)
 				opts.Callback(stats.Iterations, xj)
 			}
 			if stats.Residual <= opts.Tol || breakdown {
 				converged = true
-				break
-			}
-			if opts.StopWhen != nil && opts.StopWhen(stats.Iterations, stats.Residual) {
-				stopped = true
 				break
 			}
 		}
@@ -283,10 +250,6 @@ func GMRES(a Operator, b []float64, opts GMRESOptions) ([]float64, Stats, error)
 			} else {
 				stats.StopReason = StopBreakdown
 			}
-			return x, stats, nil
-		}
-		if stopped {
-			stats.StopReason = StopEarly
 			return x, stats, nil
 		}
 	}

@@ -310,3 +310,40 @@ func TestGivens(t *testing.T) {
 		}
 	}
 }
+
+// TestStopReasonMaxIter: exhausting the iteration budget reports
+// StopMaxIter alongside ErrNotConverged.
+func TestStopReasonMaxIter(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := 60
+	a := randDiagDominant(rng, n, 0.2)
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	_, stats, err := GMRES(a, b, GMRESOptions{Tol: 1e-14, MaxIter: 2})
+	if err == nil {
+		t.Fatalf("expected iteration-limit error")
+	}
+	if stats.StopReason != StopMaxIter {
+		t.Fatalf("StopReason = %v, want StopMaxIter", stats.StopReason)
+	}
+	if _, stats, err = BiCGSTAB(a, b, GMRESOptions{Tol: 1e-14, MaxIter: 1}); err == nil || stats.StopReason != StopMaxIter {
+		t.Fatalf("BiCGSTAB: err=%v reason=%v, want limit error + StopMaxIter", err, stats.StopReason)
+	}
+}
+
+// TestStopReasonString pins the names stats reporting uses.
+func TestStopReasonString(t *testing.T) {
+	want := map[StopReason]string{
+		StopNone:      "none",
+		StopTolerance: "tolerance",
+		StopBreakdown: "breakdown",
+		StopMaxIter:   "maxiter",
+	}
+	for r, s := range want {
+		if r.String() != s {
+			t.Fatalf("%d.String() = %q, want %q", int(r), r.String(), s)
+		}
+	}
+}
