@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"bepi/internal/obs"
@@ -209,7 +211,21 @@ type HTTPBackend struct {
 	name   string
 	base   string
 	client *http.Client
+	// nodes is the node count the replica last reported on /healthz; it
+	// sizes the cap on every other response body (bodyLimit).
+	nodes atomic.Int64
 }
+
+// A 200 response body may be at most bodyBaseBytes plus bodyBytesPerNode
+// per node the replica reports, so a broken or hostile replica cannot make
+// the coordinator buffer an unbounded body. Per node the largest
+// legitimate response carries one score (≤ 25 JSON bytes) and one ranked
+// entry (≤ 53); the base covers the health report, traces, metrics
+// snapshots and the fixed fields.
+const (
+	bodyBaseBytes    = 1 << 20
+	bodyBytesPerNode = 96
+)
 
 // NewHTTPBackend wraps a replica address ("host:port" or a full URL) as a
 // backend. A nil client selects a dedicated one with sane keep-alive
@@ -229,11 +245,22 @@ func NewHTTPBackend(addr string, client *http.Client) *HTTPBackend {
 // Name implements Backend.
 func (b *HTTPBackend) Name() string { return b.name }
 
-// get issues a GET and decodes the JSON body into out, mapping non-200
-// statuses (and their Retry-After hints) to BackendError. A trace context on
-// ctx is forwarded as the X-Bepi-Trace header, so the shard's executor
-// records its spans under the coordinator's trace.
-func (b *HTTPBackend) get(ctx context.Context, path string, out any) error {
+// bodyLimit is the response-body cap for a query, trace or snapshot
+// request. Until the replica has reported its size, it is asked once.
+func (b *HTTPBackend) bodyLimit(ctx context.Context) int64 {
+	if b.nodes.Load() == 0 {
+		// On failure the base cap stands; the request reports its own error.
+		_, _ = b.Health(ctx)
+	}
+	return bodyBaseBytes + bodyBytesPerNode*b.nodes.Load()
+}
+
+// get issues a GET and decodes the JSON body, of at most limit bytes, into
+// out, mapping non-200 statuses (and their Retry-After hints) and an
+// oversize body (as a 502) to BackendError. A trace context on ctx is
+// forwarded as the X-Bepi-Trace header, so the shard's executor records
+// its spans under the coordinator's trace.
+func (b *HTTPBackend) get(ctx context.Context, path string, out any, limit int64) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+path, nil)
 	if err != nil {
 		return err
@@ -263,7 +290,13 @@ func (b *HTTPBackend) get(ctx context.Context, path string, out any) error {
 		}
 		return &BackendError{Replica: b.name, Status: resp.StatusCode, RetryAfter: ra, Msg: msg}
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	body := &io.LimitedReader{R: resp.Body, N: limit + 1}
+	err = json.NewDecoder(body).Decode(out)
+	if body.N <= 0 {
+		return &BackendError{Replica: b.name, Status: http.StatusBadGateway,
+			Msg: fmt.Sprintf("response body exceeds %d bytes", limit)}
+	}
+	return err
 }
 
 // Query implements Backend over GET /query.
@@ -277,7 +310,7 @@ func (b *HTTPBackend) Query(ctx context.Context, seed, topk int, full, exact boo
 		v.Set("full", "true")
 	}
 	var resp server.QueryResponse
-	if err := b.get(ctx, "/query?"+v.Encode(), &resp); err != nil {
+	if err := b.get(ctx, "/query?"+v.Encode(), &resp, b.bodyLimit(ctx)); err != nil {
 		return Partial{}, err
 	}
 	return Partial{
@@ -301,7 +334,7 @@ func (b *HTTPBackend) Traces(ctx context.Context, traceID string, max int) ([]ob
 		v.Set("n", strconv.Itoa(max))
 	}
 	var resp server.TraceResponse
-	if err := b.get(ctx, "/debug/traces?"+v.Encode(), &resp); err != nil {
+	if err := b.get(ctx, "/debug/traces?"+v.Encode(), &resp, b.bodyLimit(ctx)); err != nil {
 		return nil, err
 	}
 	return resp.Traces, nil
@@ -310,7 +343,7 @@ func (b *HTTPBackend) Traces(ctx context.Context, traceID string, max int) ([]ob
 // MetricsSnapshot implements SnapshotSource over GET /metrics/snapshot.
 func (b *HTTPBackend) MetricsSnapshot(ctx context.Context) (obs.MetricsSnapshot, error) {
 	var s obs.MetricsSnapshot
-	if err := b.get(ctx, "/metrics/snapshot", &s); err != nil {
+	if err := b.get(ctx, "/metrics/snapshot", &s, b.bodyLimit(ctx)); err != nil {
 		return obs.MetricsSnapshot{}, err
 	}
 	if s.Replica == "" {
@@ -322,9 +355,11 @@ func (b *HTTPBackend) MetricsSnapshot(ctx context.Context) (obs.MetricsSnapshot,
 // Health implements Backend over GET /healthz.
 func (b *HTTPBackend) Health(ctx context.Context) (Health, error) {
 	var h server.HealthResponse
-	if err := b.get(ctx, "/healthz", &h); err != nil {
+	if err := b.get(ctx, "/healthz", &h, bodyBaseBytes); err != nil {
 		return Health{}, err
 	}
+	// Engines index nodes in uint32, so a larger report is not believed.
+	b.nodes.Store(min(max(int64(h.Nodes), 0), math.MaxUint32))
 	return Health{
 		Nodes:           h.Nodes,
 		Generation:      h.Generation,

@@ -127,39 +127,95 @@ func TestCompactSurvivesSaveLoad(t *testing.T) {
 }
 
 // TestKernelHookObservesSolve checks SetKernelHook fires for both hot-path
-// kernels with plausible payloads.
+// kernels with exact payloads: one sample per application, batched or
+// not, of the matrix's stored bytes plus 16·n2 per right-hand side. A
+// solve applies S once per iteration and the preconditioner once more
+// (M⁻¹b); a lockstep batch applies each once per round for all RHS still
+// iterating.
 func TestKernelHookObservesSolve(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 7, 26))
 	e, err := Preprocess(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	type sample struct {
+		kernel string
+		bytes  int64
+	}
 	var mu sync.Mutex
-	counts := map[string]int{}
-	var bytesSum int64
+	var samples []sample
 	e.SetKernelHook(func(kernel string, seconds float64, b int64) {
 		mu.Lock()
 		defer mu.Unlock()
-		counts[kernel]++
-		bytesSum += b
-		if seconds < 0 || b <= 0 {
-			t.Errorf("kernel %s: bad sample (%v s, %d bytes)", kernel, seconds, b)
+		samples = append(samples, sample{kernel, b})
+		if seconds < 0 {
+			t.Errorf("kernel %s: negative time %v s", kernel, seconds)
 		}
 	})
-	if _, st, err := e.Query(2); err != nil {
+	vecBytes := int64(16 * e.ord.N2)
+	matBytes := map[string]int64{KernelSchur: e.schur.MemoryBytes(), KernelPrecond: e.ilu.MemoryBytes()}
+	count := func(kernel string) int {
+		var c int
+		for _, s := range samples {
+			if s.kernel == kernel {
+				c++
+			}
+		}
+		return c
+	}
+
+	_, st, err := e.Query(2)
+	if err != nil {
 		t.Fatal(err)
-	} else if counts[KernelSchur] < st.Iterations || counts[KernelPrecond] == 0 {
-		t.Fatalf("hook counts %v for %d iterations", counts, st.Iterations)
 	}
-	if bytesSum < e.Schur().MemoryBytes() {
-		t.Fatalf("bytes moved %d implausibly small", bytesSum)
+	if count(KernelSchur) != st.Iterations || count(KernelPrecond) != st.Iterations+1 {
+		t.Fatalf("%d schur and %d precond samples for %d iterations",
+			count(KernelSchur), count(KernelPrecond), st.Iterations)
 	}
+	for _, s := range samples {
+		if s.bytes != matBytes[s.kernel]+vecBytes {
+			t.Fatalf("single solve: %s sample of %d bytes, want %d", s.kernel, s.bytes, matBytes[s.kernel]+vecBytes)
+		}
+	}
+
+	samples = nil
+	seeds := []int{3, 40, 311}
+	qs := make([][]float64, len(seeds))
+	for k, s := range seeds {
+		qs[k] = make([]float64, e.N())
+		qs[k][s] = 1
+	}
+	_, stats, errs := e.QueryVectorBatch(nil, qs, nil)
+	rounds, iterating := 0, int64(0) // a zero q̃2 is solved without iterating
+	for k := range stats {
+		if errs[k] != nil {
+			t.Fatal(errs[k])
+		}
+		rounds = max(rounds, stats[k].Iterations)
+		if stats[k].Iterations > 0 {
+			iterating++
+		}
+	}
+	if iterating < 2 {
+		t.Fatalf("only %d of the batch's solves iterate", iterating)
+	}
+	if count(KernelSchur) != rounds || count(KernelPrecond) != rounds+1 {
+		t.Fatalf("batch: %d schur and %d precond samples for %d rounds", count(KernelSchur), count(KernelPrecond), rounds)
+	}
+	// M⁻¹b covers every RHS, the first S·v every RHS that iterates.
+	if s := samples[0]; s.kernel != KernelPrecond || s.bytes != matBytes[KernelPrecond]+3*vecBytes {
+		t.Fatalf("batch: first sample %+v, want M⁻¹b over 3 RHS", s)
+	}
+	if s := samples[1]; s.kernel != KernelSchur || s.bytes != matBytes[KernelSchur]+iterating*vecBytes {
+		t.Fatalf("batch: second sample %+v, want S·v over %d RHS", s, iterating)
+	}
+
 	e.SetKernelHook(nil)
-	before := counts[KernelSchur]
+	samples = nil
 	if _, _, err := e.Query(2); err != nil {
 		t.Fatal(err)
 	}
-	if counts[KernelSchur] != before {
+	if len(samples) != 0 {
 		t.Fatal("removed hook still fired")
 	}
 }

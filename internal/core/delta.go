@@ -563,29 +563,39 @@ func (e *Engine) installWoodbury(ne *Engine, baseS *sparse.CSR, cols []int, newC
 
 	// Z = S̃⁻¹·U, one preconditioned solve per changed column against the
 	// base operator — the correction itself is what makes these solves (and
-	// every later query) land on the updated graph's solution.
+	// every later query) land on the updated graph's solution. The fresh
+	// columns' solves run as one lockstep batch: each S̃·x and ILU sweep
+	// serves every column still iterating, and each column comes out
+	// Float64bits-equal to its own GMRES solve.
 	zopts := solver.GMRESOptions{Tol: e.opts.Tol, MaxIter: e.opts.MaxIter, Restart: e.opts.GMRESRestart}
 	if e.ilu != nil {
 		zopts.Precond = e.ilu
 	}
 	z := make([][]float64, len(allCols))
-	rhs := make([]float64, n2)
+	var fresh []int // positions in allCols that need a solve
+	var rhs [][]float64
 	for b, j := range allCols {
 		if zj, ok := oldZ[j]; ok {
 			z[b] = zj
 			continue
 		}
-		for i := range rhs {
-			rhs[i] = 0
-		}
+		u := make([]float64, n2)
 		for _, ce := range deltas[j] {
-			rhs[ce.row] = ce.val
+			u[ce.row] = ce.val
 		}
-		zj, _, err := solver.GMRES(e.schur, rhs, zopts)
-		if err != nil {
-			return fmt.Errorf("core: Woodbury solve for S column %d: %w", j, err)
+		fresh = append(fresh, b)
+		rhs = append(rhs, u)
+	}
+	opts := make([]solver.GMRESOptions, len(rhs))
+	for i := range opts {
+		opts[i] = zopts
+	}
+	zs, _, errs := solver.GMRESBatch(e.schur, rhs, opts)
+	for i, b := range fresh {
+		if errs[i] != nil {
+			return fmt.Errorf("core: Woodbury solve for S column %d: %w", allCols[b], errs[i])
 		}
-		z[b] = zj
+		z[b] = zs[i]
 	}
 
 	// Capacitance C = I + VᵀZ, C[a][b] = δ_ab + z_b[j_a]; r×r and dense.

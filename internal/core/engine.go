@@ -181,16 +181,16 @@ type QueryStats struct {
 	Duration   time.Duration
 	Iterations int
 	Residual   float64
-	// Stages breaks Duration down by pipeline phase. In a batched solve the
-	// shared phases (everything except Solve) report the whole batch's
-	// phase wall time — the latency that query actually experienced there.
+	// Stages breaks Duration down by pipeline phase. In a batched solve
+	// every phase reports the whole batch's phase wall time — the latency
+	// that query actually experienced there.
 	Stages StageTimings
 }
 
 // StageTimings is the engine-side phase breakdown of one query: where the
 // time between entering QueryVectorBatch and returning the score vector
-// went. Solve is per query (the iterative Schur solve runs per item); the
-// other phases are shared across the batch.
+// went. Every phase, the lockstep Schur solve included, is shared across
+// the batch.
 type StageTimings struct {
 	// Permute covers scattering q into the reordered space and forming
 	// t1 = c·q1.
@@ -198,7 +198,7 @@ type StageTimings struct {
 	// Forward covers the batched H11 back-substitution, the H21 SpMV, and
 	// assembling q̃2 (Algorithm 4, line 3).
 	Forward time.Duration
-	// Solve is this query's iterative solve of S·r2 = q̃2 (line 4).
+	// Solve covers the iterative solve of S·r2 = q̃2 (line 4).
 	Solve time.Duration
 	// Back covers r1/r3 reconstruction and the un-permute into original
 	// node ids (lines 5-7).
@@ -252,7 +252,7 @@ type Engine struct {
 	// wood, when non-nil, is the Woodbury low-rank correction a hub-touching
 	// delta installed over the explicit Schur operator: the stored schur (and
 	// its ILU factors) remain the base S̃ the correction was built against,
-	// and solveSchurCtx applies the rank-r update after every iterative
+	// and solveSchur applies the rank-r update after every iterative
 	// solve. Engines with a correction cannot be serialized. Built by
 	// ApplyDelta (delta.go).
 	wood *woodbury
@@ -269,8 +269,12 @@ func (e *Engine) SetIterHook(f func(iter int, residual float64)) { e.iterHook = 
 
 // SetKernelHook installs a per-kernel-application observer (nil removes
 // it): each Schur-operator and preconditioner application during an
-// iterative solve reports (kernel, seconds, bytes moved). Set it before
-// serving queries; it must not race with in-flight solves.
+// iterative query solve reports (kernel, seconds, bytes moved). A batched
+// application — one step of a lockstep batch solve over K right-hand
+// sides — is one sample covering all K, with bytes = the matrix's stored
+// bytes + 16·n2·K (an input and an output vector per RHS); a one-RHS
+// application reports K = 1. Set it before serving queries; it must not
+// race with in-flight solves.
 func (e *Engine) SetKernelHook(f func(kernel string, seconds float64, bytes int64)) {
 	e.kernelHook = f
 }

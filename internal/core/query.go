@@ -39,58 +39,71 @@ const (
 	KernelPrecond = "precond"
 )
 
-// solveSchur runs the configured iterative solver on S·r2 = q̃2.
-func (e *Engine) solveSchur(qt2 []float64, cb func(int, []float64)) ([]float64, solver.Stats, error) {
-	return e.solveSchurCtx(context.Background(), qt2, nil, cb)
-}
-
-// solveSchurCtx is solveSchur with a cancellation context threaded into the
-// iterative solver and an optional reusable Krylov workspace. With a
-// workspace, the returned solution points into it and is only valid until
-// the next solve on that workspace. The operator and preconditioner are
-// wrapped with the kernel-timing shims when a kernel hook is installed. On
-// engines carrying a Woodbury correction (hub deltas absorbed over the
-// explicit operator) the iteration runs against the stored base S̃ and the
-// low-rank correction maps the result to the updated graph's solution;
-// every Schur solve in the engine funnels through here, so all of them see
-// the corrected system consistently.
-func (e *Engine) solveSchurCtx(ctx context.Context, qt2 []float64, ws *solver.Workspace, cb func(int, []float64)) ([]float64, solver.Stats, error) {
+// solveSchur runs the configured iterative solver on S·r2 = q̃2 for every
+// right-hand side in qt2s; results are positional. ctxs (nil, or nil
+// entries, for none) cancel each solve individually, wss (nil, or nil
+// entries, to allocate) supplies each one's Krylov workspace — a result
+// then points into its workspace and is only valid until the next solve
+// on it — and cb observes every iteration. GMRES solves the whole batch in
+// lockstep (solver.GMRESBatch), so each S·x and ILU sweep serves every RHS
+// still iterating; BiCGSTAB solves one RHS after another. The operator and
+// preconditioner are wrapped with the kernel-timing shims when a kernel
+// hook is installed. On engines carrying a Woodbury correction (hub deltas
+// absorbed over the explicit operator) the iteration runs against the
+// stored base S̃ and the low-rank correction maps each result to the
+// updated graph's solution; every query's Schur solve funnels through
+// here, so all of them see the corrected system consistently.
+func (e *Engine) solveSchur(ctxs []context.Context, qt2s [][]float64, wss []*solver.Workspace, cb func(int, []float64)) ([][]float64, []solver.Stats, []error) {
 	var op solver.Operator = e.schur
-	opts := solver.GMRESOptions{
-		Tol:         e.opts.Tol,
-		MaxIter:     e.opts.MaxIter,
-		Restart:     e.opts.GMRESRestart,
-		Callback:    cb,
-		OnIteration: e.iterHook,
-		Ctx:         ctx,
-		Work:        ws,
-	}
+	var pre solver.Preconditioner
 	if e.ilu != nil {
-		opts.Precond = e.ilu
+		pre = e.ilu
 	}
 	if hook := e.kernelHook; hook != nil {
-		// One application streams S plus the input and output vectors.
-		op = &timedOperator{op: op, hook: hook, kernel: KernelSchur,
-			bytes: e.schur.MemoryBytes() + int64(16*e.ord.N2)}
-		if opts.Precond != nil {
-			opts.Precond = &timedPrecond{pre: opts.Precond, hook: hook, kernel: KernelPrecond,
-				bytes: e.ilu.MemoryBytes() + int64(16*e.ord.N2)}
+		// One application streams the matrix plus an input and an output
+		// vector per right-hand side.
+		vecBytes := int64(16 * e.ord.N2)
+		op = &timedOperator{op: e.schur, hook: hook, matBytes: e.schur.MemoryBytes(), vecBytes: vecBytes}
+		if e.ilu != nil {
+			pre = &timedPrecond{pre: e.ilu, hook: hook, matBytes: e.ilu.MemoryBytes(), vecBytes: vecBytes}
+		}
+	}
+	opts := make([]solver.GMRESOptions, len(qt2s))
+	for k := range opts {
+		opts[k] = solver.GMRESOptions{
+			Tol:         e.opts.Tol,
+			MaxIter:     e.opts.MaxIter,
+			Restart:     e.opts.GMRESRestart,
+			Precond:     pre,
+			Callback:    cb,
+			OnIteration: e.iterHook,
+			Ctx:         batchCtx(ctxs, k),
+		}
+		if wss != nil {
+			opts[k].Work = wss[k]
 		}
 	}
 	var (
-		t2    []float64
-		stats solver.Stats
-		err   error
+		r2s   [][]float64
+		stats []solver.Stats
+		errs  []error
 	)
 	if e.opts.Solver == SolverBiCGSTAB {
-		t2, stats, err = solver.BiCGSTAB(op, qt2, opts)
+		r2s, stats, errs = make([][]float64, len(qt2s)), make([]solver.Stats, len(qt2s)), make([]error, len(qt2s))
+		for k, qt2 := range qt2s {
+			r2s[k], stats[k], errs[k] = solver.BiCGSTAB(op, qt2, opts[k])
+		}
 	} else {
-		t2, stats, err = solver.GMRES(op, qt2, opts)
+		r2s, stats, errs = solver.GMRESBatch(op, qt2s, opts)
 	}
-	if err == nil && e.wood != nil {
-		e.wood.correct(t2)
+	if e.wood != nil {
+		for k, err := range errs {
+			if err == nil {
+				e.wood.correct(r2s[k])
+			}
+		}
 	}
-	return t2, stats, err
+	return r2s, stats, errs
 }
 
 // QueryWithCallback runs a query invoking cb with the fully assembled RWR
@@ -155,7 +168,8 @@ func (e *Engine) QueryWithCallback(seed int, cb func(iter int, r []float64)) ([]
 	if cb != nil {
 		solveCB = func(iter int, r2 []float64) { cb(iter, assemble(r2)) }
 	}
-	r2, stats, err := e.solveSchur(qt2, solveCB)
+	r2s, sts, errs := e.solveSchur(nil, [][]float64{qt2}, nil, solveCB)
+	r2, stats, err := r2s[0], sts[0], errs[0]
 	if err != nil {
 		return nil, QueryStats{Duration: time.Since(start)}, fmt.Errorf("core: solving Schur system: %w", err)
 	}
@@ -259,31 +273,42 @@ func RankTopKFunc(scores []float64, k int, skip func(node int) bool) []Ranked {
 	return h
 }
 
-// timedOperator wraps an operator to report each application through the
-// engine's kernel hook.
+// timedOperator wraps the Schur operator to report each application
+// through the engine's kernel hook: one sample per call, batched or not,
+// moving the matrix once plus vecBytes per right-hand side.
 type timedOperator struct {
-	op     solver.Operator
-	hook   func(kernel string, seconds float64, bytes int64)
-	kernel string
-	bytes  int64
+	op                 solver.BatchOperator
+	hook               func(kernel string, seconds float64, bytes int64)
+	matBytes, vecBytes int64
 }
 
 func (t *timedOperator) MulVec(dst, x []float64) {
 	start := time.Now()
 	t.op.MulVec(dst, x)
-	t.hook(t.kernel, time.Since(start).Seconds(), t.bytes)
+	t.hook(KernelSchur, time.Since(start).Seconds(), t.matBytes+t.vecBytes)
 }
 
-// timedPrecond is timedOperator for preconditioner applications.
+func (t *timedOperator) MulVecBatch(dst, x [][]float64) {
+	start := time.Now()
+	t.op.MulVecBatch(dst, x)
+	t.hook(KernelSchur, time.Since(start).Seconds(), t.matBytes+t.vecBytes*int64(len(x)))
+}
+
+// timedPrecond is timedOperator for the ILU(0) preconditioner.
 type timedPrecond struct {
-	pre    solver.Preconditioner
-	hook   func(kernel string, seconds float64, bytes int64)
-	kernel string
-	bytes  int64
+	pre                solver.BatchPreconditioner
+	hook               func(kernel string, seconds float64, bytes int64)
+	matBytes, vecBytes int64
 }
 
 func (t *timedPrecond) Apply(dst, src []float64) {
 	start := time.Now()
 	t.pre.Apply(dst, src)
-	t.hook(t.kernel, time.Since(start).Seconds(), t.bytes)
+	t.hook(KernelPrecond, time.Since(start).Seconds(), t.matBytes+t.vecBytes)
+}
+
+func (t *timedPrecond) ApplyBatch(dst, src [][]float64) {
+	start := time.Now()
+	t.pre.ApplyBatch(dst, src)
+	t.hook(KernelPrecond, time.Since(start).Seconds(), t.matBytes+t.vecBytes*int64(len(src)))
 }

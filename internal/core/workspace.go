@@ -22,7 +22,8 @@ type Workspace struct {
 	// sel holds gathered views of the buffers above for the active batch
 	// slots, reused across phases.
 	sel [7][][]float64
-	slv solver.Workspace
+	// slv is each batch slot's Krylov workspace for the lockstep solve.
+	slv []solver.Workspace
 }
 
 // NewWorkspace returns an empty workspace for the engine. Buffers are
@@ -41,6 +42,7 @@ func (w *Workspace) grow(k int) {
 		w.r2s = append(w.r2s, make([]float64, n2))
 		w.r3s = append(w.r3s, make([]float64, n3))
 		w.tmps = append(w.tmps, make([]float64, n3))
+		w.slv = append(w.slv, solver.Workspace{})
 	}
 }
 
@@ -67,9 +69,10 @@ func (e *Engine) QueryVectorWS(ctx context.Context, q []float64, ws *Workspace) 
 // block-elimination pass (Algorithm 4 applied to a multi-column right-hand
 // side). The H11 back-substitutions and the SpMVs over H12/H21/H31/H32 are
 // shared-structure across the batch — each matrix is traversed once per
-// phase for all K queries — while the iterative Schur solves run per query
-// so that each query's context (deadline, cancellation) is honored
-// individually. Results, stats, and errors are positional: res[k] is nil
+// phase for all K queries — and the iterative Schur solves run in lockstep,
+// one batched S·x and ILU sweep per step for every query still iterating,
+// while each query's context (deadline, cancellation) still ends only its
+// own solve. Results, stats, and errors are positional: res[k] is nil
 // iff errs[k] is non-nil. A failed or canceled query never poisons its
 // batchmates. Duration in each query's stats is the wall time of the whole
 // batch, i.e. the latency that query experienced at the engine.
@@ -95,21 +98,26 @@ func (e *Engine) QueryVectorBatch(ctxs []context.Context, qs [][]float64, ws *Wo
 	permuteDur := e.permutePhase(ws, qs, active)
 	forwardDur := e.forwardPhase(ws, active)
 
-	// Solve S·r2 = q̃2 per query (line 4) — iterative, so per-query
-	// contexts apply here; the Krylov workspace is shared sequentially.
+	// Solve S·r2 = q̃2 (line 4) for the whole batch in lockstep; each
+	// query's context still ends only its own solve.
+	tSolve := time.Now()
+	sctxs := make([]context.Context, len(active))
+	wss := make([]*solver.Workspace, len(active))
+	for i, k := range active {
+		sctxs[i], wss[i] = batchCtx(ctxs, k), &ws.slv[k]
+	}
+	r2s, sts, serrs := e.solveSchur(sctxs, ws.gather(1, ws.qt2s, active), wss, nil)
+	solveDur := time.Since(tSolve)
 	solved := make([]int, 0, len(active))
-	for _, k := range active {
-		tSolve := time.Now()
-		r2, st, err := e.solveSchurCtx(batchCtx(ctxs, k), ws.qt2s[k], &ws.slv, nil)
-		stats[k].Iterations, stats[k].Residual = st.Iterations, st.Residual
-		stats[k].Stages.Solve = time.Since(tSolve)
-		if err != nil {
-			errs[k] = fmt.Errorf("core: solving Schur system: %w", err)
+	for i, k := range active {
+		stats[k].Iterations, stats[k].Residual = sts[i].Iterations, sts[i].Residual
+		stats[k].Stages.Solve = solveDur
+		if serrs[i] != nil {
+			errs[k] = fmt.Errorf("core: solving Schur system: %w", serrs[i])
 			continue
 		}
-		// r2 points into the shared solver workspace; the next solve
-		// clobbers it, so park it in this slot's own buffer.
-		copy(ws.r2s[k], r2)
+		// Park r2 in the slot's own buffer for the batched back phase.
+		copy(ws.r2s[k], r2s[i])
 		solved = append(solved, k)
 	}
 	active = solved

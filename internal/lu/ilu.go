@@ -159,7 +159,7 @@ func (f *ILU) Apply(dst, src []float64) {
 	if &dst[0] != &src[0] {
 		copy(dst, src)
 	}
-	if f.pool.Workers() > 1 && f.NNZ() >= iluParallelMinNNZ {
+	if f.leveled() {
 		f.l.runLevels(f.pool, func(lo, hi int) { f.sweepL(dst, lo, hi) })
 		f.u.runLevels(f.pool, func(lo, hi int) { f.sweepU(dst, lo, hi) })
 		return
@@ -168,6 +168,45 @@ func (f *ILU) Apply(dst, src []float64) {
 	// construction, and streams the factors contiguously.
 	f.sweepL(dst, 0, f.n)
 	f.sweepU(dst, 0, f.n)
+}
+
+// ApplyBatch computes dst[k] = M⁻¹·src[k] for every right-hand side, each
+// Float64bits-equal to Apply on it; dst[k] and src[k] may alias. Groups of
+// up to four RHS sweep the factors together: every row keeps its single
+// loop-carried accumulation chain per RHS, exactly Apply's operation
+// order, but the group's chains are independent, so the core overlaps
+// their add latencies — the chain, not memory traffic, is what bounds a
+// one-RHS sweep on factors that fit in cache. Wide levels still run across
+// the pool through the same schedule as Apply.
+func (f *ILU) ApplyBatch(dst, src [][]float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("lu: ILU.ApplyBatch got %d dst vectors for %d rhs", len(dst), len(src)))
+	}
+	for k := range src {
+		if len(dst[k]) != f.n || len(src[k]) != f.n {
+			panic("lu: ILU.ApplyBatch length mismatch")
+		}
+	}
+	if f.n == 0 {
+		return
+	}
+	for k := range src {
+		if &dst[k][0] != &src[k][0] {
+			copy(dst[k], src[k])
+		}
+	}
+	if f.leveled() {
+		f.l.runLevels(f.pool, func(lo, hi int) { f.sweepBatch(&f.l, false, dst, lo, hi) })
+		f.u.runLevels(f.pool, func(lo, hi int) { f.sweepBatch(&f.u, true, dst, lo, hi) })
+		return
+	}
+	f.sweepBatch(&f.l, false, dst, 0, f.n)
+	f.sweepBatch(&f.u, true, dst, 0, f.n)
+}
+
+// leveled reports whether the sweeps run level-scheduled across the pool.
+func (f *ILU) leveled() bool {
+	return f.pool.Workers() > 1 && f.NNZ() >= iluParallelMinNNZ
 }
 
 func (f *ILU) sweepL(dst []float64, lo, hi int) {
@@ -183,6 +222,34 @@ func (f *ILU) sweepU(dst []float64, lo, hi int) {
 		sweepUpper(f.u.order, f.u.rowPtr32, f.u.col32, f.u.val, dst, lo, hi)
 	} else {
 		sweepUpper(f.u.order, f.u.rowPtr, f.u.col, f.u.val, dst, lo, hi)
+	}
+}
+
+// sweepBatch runs storage rows [lo, hi) of factor t for every RHS: groups
+// of four, then a pair, then a single RHS through the one-RHS sweep.
+func (f *ILU) sweepBatch(t *triFactor, upper bool, dst [][]float64, lo, hi int) {
+	k := 0
+	for ; k+4 <= len(dst); k += 4 {
+		if t.col32 != nil {
+			sweepRows4(t.order, t.rowPtr32, t.col32, t.val, upper, dst[k:k+4], lo, hi)
+		} else {
+			sweepRows4(t.order, t.rowPtr, t.col, t.val, upper, dst[k:k+4], lo, hi)
+		}
+	}
+	if k+2 <= len(dst) {
+		if t.col32 != nil {
+			sweepRows2(t.order, t.rowPtr32, t.col32, t.val, upper, dst[k:k+2], lo, hi)
+		} else {
+			sweepRows2(t.order, t.rowPtr, t.col, t.val, upper, dst[k:k+2], lo, hi)
+		}
+		k += 2
+	}
+	if k < len(dst) {
+		if upper {
+			f.sweepU(dst[k], lo, hi)
+		} else {
+			f.sweepL(dst[k], lo, hi)
+		}
 	}
 }
 

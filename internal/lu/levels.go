@@ -75,6 +75,15 @@ func (t *triFactor) rowSpan(k int) (int, int) {
 	return t.rowPtr[k], t.rowPtr[k+1]
 }
 
+// levelNNZ returns the number of entries stored in level l's rows.
+func (t *triFactor) levelNNZ(l int) int {
+	lo, hi := int(t.bounds[l]), int(t.bounds[l+1])
+	if t.col32 != nil {
+		return int(t.rowPtr32[hi] - t.rowPtr32[lo])
+	}
+	return t.rowPtr[hi] - t.rowPtr[lo]
+}
+
 func (t *triFactor) colAt(p int) int {
 	if t.col32 != nil {
 		return int(t.col32[p])
@@ -244,6 +253,63 @@ func sweepUpper[P int | int32, C int | uint32](order []int32, rowPtr []P, col []
 	}
 }
 
+// sweepRows4 is sweepLower (upper=false) or sweepUpper (upper=true) over
+// four right-hand sides at once: each loaded entry feeds four independent
+// accumulation chains, and per RHS the operations are exactly the one-RHS
+// kernel's.
+func sweepRows4[P int | int32, C int | uint32](order []int32, rowPtr []P, col []C, val []float64, upper bool, dst [][]float64, lo, hi int) {
+	d0, d1, d2, d3 := dst[0], dst[1], dst[2], dst[3]
+	for k := lo; k < hi; k++ {
+		rlo, rhi := int(rowPtr[k]), int(rowPtr[k+1])
+		first := rlo
+		if upper {
+			first++ // skip the leading diagonal
+		}
+		cols := col[first:rhi]
+		vals := val[first:rhi]
+		i := order[k]
+		s0, s1, s2, s3 := d0[i], d1[i], d2[i], d3[i]
+		for p, j := range cols {
+			v := vals[p]
+			s0 -= v * d0[j]
+			s1 -= v * d1[j]
+			s2 -= v * d2[j]
+			s3 -= v * d3[j]
+		}
+		if upper {
+			dg := val[rlo]
+			s0, s1, s2, s3 = s0/dg, s1/dg, s2/dg, s3/dg
+		}
+		d0[i], d1[i], d2[i], d3[i] = s0, s1, s2, s3
+	}
+}
+
+// sweepRows2 is sweepRows4 for a pair of right-hand sides.
+func sweepRows2[P int | int32, C int | uint32](order []int32, rowPtr []P, col []C, val []float64, upper bool, dst [][]float64, lo, hi int) {
+	d0, d1 := dst[0], dst[1]
+	for k := lo; k < hi; k++ {
+		rlo, rhi := int(rowPtr[k]), int(rowPtr[k+1])
+		first := rlo
+		if upper {
+			first++
+		}
+		cols := col[first:rhi]
+		vals := val[first:rhi]
+		i := order[k]
+		s0, s1 := d0[i], d1[i]
+		for p, j := range cols {
+			v := vals[p]
+			s0 -= v * d0[j]
+			s1 -= v * d1[j]
+		}
+		if upper {
+			dg := val[rlo]
+			s0, s1 = s0/dg, s1/dg
+		}
+		d0[i], d1[i] = s0, s1
+	}
+}
+
 // runLevels walks the factor level by level, running each level's rows
 // through sweep(lo, hi) in storage-row space. Levels of at least
 // iluLevelMinNNZ entries partition across the pool with nnz-balanced
@@ -256,13 +322,7 @@ func (t *triFactor) runLevels(pool *par.Pool, sweep func(lo, hi int)) {
 	runStart := 0 // start of the pending serial run of narrow levels
 	for l := 0; l+1 < len(t.bounds); l++ {
 		lo, hi := int(t.bounds[l]), int(t.bounds[l+1])
-		var levelNNZ int
-		if t.col32 != nil {
-			levelNNZ = int(t.rowPtr32[hi] - t.rowPtr32[lo])
-		} else {
-			levelNNZ = t.rowPtr[hi] - t.rowPtr[lo]
-		}
-		if workers <= 1 || levelNNZ < iluLevelMinNNZ {
+		if workers <= 1 || t.levelNNZ(l) < iluLevelMinNNZ {
 			continue
 		}
 		if lo > runStart {

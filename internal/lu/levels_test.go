@@ -348,3 +348,141 @@ func BenchmarkILUApplyLevels(b *testing.B) {
 		}
 	}
 }
+
+// wideLevelMatrix builds a 2h×2h matrix whose ILU(0) factors have wide
+// levels: the second half's rows depend only on the first half (one
+// forward level of about h·d entries) and the first half's rows only on
+// the second (one backward level of the same size), plus a sparse chain
+// through the second half that adds narrow levels between them.
+func wideLevelMatrix(h, d int, seed int64) *sparse.CSR {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 * h
+	coo := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, 4+rng.Float64())
+		off := h // first-half rows point into the second half...
+		if i >= h {
+			off = 0 // ...and second-half rows into the first
+		}
+		for e := 0; e < d; e++ {
+			coo.Add(i, off+rng.Intn(h), rng.NormFloat64()*0.3)
+		}
+		if i > h && i%50 == 0 {
+			coo.Add(i, i-1, rng.NormFloat64()*0.3)
+		}
+	}
+	return coo.ToCSR()
+}
+
+// widestLevel returns the largest per-level entry count of a factor.
+func widestLevel(t *triFactor) int {
+	var best int
+	for l := 0; l < t.levels(); l++ {
+		best = max(best, t.levelNNZ(l))
+	}
+	return best
+}
+
+// TestILUApplyBatchBitIdentical pins ApplyBatch against Apply under
+// Float64bits equality for batch widths 1–6 (every group shape: four, a
+// pair, a single RHS), serially and on a 2-worker pool, wide and compact,
+// with dst distinct from and equal to src. The factors have levels above
+// iluLevelMinNNZ, so the pool really partitions levels.
+func TestILUApplyBatchBitIdentical(t *testing.T) {
+	a := wideLevelMatrix(3000, 6, 8)
+	ref, err := FactorILU0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.NNZ() < iluParallelMinNNZ {
+		t.Fatalf("test system too small: nnz=%d < %d", ref.NNZ(), iluParallelMinNNZ)
+	}
+	if wl, wu := widestLevel(&ref.l), widestLevel(&ref.u); wl < iluLevelMinNNZ || wu < iluLevelMinNNZ {
+		t.Fatalf("widest levels %d/%d below iluLevelMinNNZ %d", wl, wu, iluLevelMinNNZ)
+	}
+	rng := rand.New(rand.NewSource(9))
+	const maxK = 6
+	srcs := make([][]float64, maxK)
+	wants := make([][]float64, maxK)
+	for k := range srcs {
+		srcs[k] = make([]float64, ref.n)
+		for i := range srcs[k] {
+			srcs[k][i] = rng.NormFloat64()
+		}
+		wants[k] = make([]float64, ref.n)
+		ref.Apply(wants[k], srcs[k])
+	}
+	for _, workers := range []int{1, 2} {
+		for _, compact := range []bool{false, true} {
+			f, err := FactorILU0(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if compact {
+				f.Compact()
+			}
+			if workers > 1 {
+				f.SetPool(par.NewPool(workers))
+			}
+			for K := 1; K <= maxK; K++ {
+				for _, alias := range []bool{false, true} {
+					dst := make([][]float64, K)
+					src := srcs[:K]
+					if alias {
+						src = make([][]float64, K)
+					}
+					for k := range dst {
+						dst[k] = make([]float64, f.n)
+						if alias {
+							copy(dst[k], srcs[k])
+							src[k] = dst[k]
+						}
+					}
+					f.ApplyBatch(dst, src)
+					for k := range dst {
+						for i := range dst[k] {
+							if math.Float64bits(dst[k][i]) != math.Float64bits(wants[k][i]) {
+								t.Fatalf("workers=%d compact=%v K=%d alias=%v: rhs %d row %d = %v want %v",
+									workers, compact, K, alias, k, i, dst[k][i], wants[k][i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkILUApplyBatch measures the RHS-interleaved sweep against the
+// same number of one-RHS applies, serially on the stock RMAT bench matrix:
+// compare batch/K=N with singles/K=N.
+func BenchmarkILUApplyBatch(b *testing.B) {
+	iluBenchSetup()
+	f, err := FactorILU0(iluBench.a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.Compact()
+	for _, K := range []int{1, 2, 4} {
+		src := make([][]float64, K)
+		dst := make([][]float64, K)
+		for k := range src {
+			src[k] = iluBench.src
+			dst[k] = make([]float64, f.n)
+		}
+		b.Run(fmt.Sprintf("singles/K=%d", K), func(b *testing.B) {
+			b.SetBytes(int64(K) * int64(f.NNZ()) * 12)
+			for i := 0; i < b.N; i++ {
+				for k := range src {
+					f.Apply(dst[k], src[k])
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("batch/K=%d", K), func(b *testing.B) {
+			b.SetBytes(int64(K) * int64(f.NNZ()) * 12)
+			for i := 0; i < b.N; i++ {
+				f.ApplyBatch(dst, src)
+			}
+		})
+	}
+}

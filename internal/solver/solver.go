@@ -26,6 +26,45 @@ type Preconditioner interface {
 	Apply(dst, src []float64)
 }
 
+// BatchOperator is an Operator that multiplies several vectors in one
+// pass, dst[k] = A·x[k], bit-identically to MulVec on each. *sparse.CSR and
+// *sparse.CSR32 satisfy it.
+type BatchOperator interface {
+	Operator
+	MulVecBatch(dst, x [][]float64)
+}
+
+// BatchPreconditioner applies M⁻¹ to several vectors in one pass,
+// dst[k] = M⁻¹·src[k], bit-identically to Apply on each; dst[k] and src[k]
+// may alias. *lu.ILU satisfies it.
+type BatchPreconditioner interface {
+	Preconditioner
+	ApplyBatch(dst, src [][]float64)
+}
+
+// mulVecBatch applies a to every x[k]: one batched pass when a supports
+// it and there is more than one vector, else one MulVec each.
+func mulVecBatch(a Operator, dst, x [][]float64) {
+	if ba, ok := a.(BatchOperator); ok && len(x) > 1 {
+		ba.MulVecBatch(dst, x)
+		return
+	}
+	for k := range x {
+		a.MulVec(dst[k], x[k])
+	}
+}
+
+// applyBatch is mulVecBatch for preconditioners.
+func applyBatch(p Preconditioner, dst, src [][]float64) {
+	if bp, ok := p.(BatchPreconditioner); ok && len(src) > 1 {
+		bp.ApplyBatch(dst, src)
+		return
+	}
+	for k := range src {
+		p.Apply(dst[k], src[k])
+	}
+}
+
 // identity is the trivial preconditioner.
 type identity struct{}
 
@@ -138,124 +177,268 @@ func (o GMRESOptions) withDefaults() GMRESOptions {
 // GMRES solves A·x = b, returning the solution and solve statistics.
 // The residual reported and tested against Tol is the (preconditioned)
 // relative residual ‖M⁻¹(A·x − b)‖₂ / ‖M⁻¹b‖₂, matching the stopping rule
-// of Algorithm 5 in the paper.
+// of Algorithm 5 in the paper. It is the one-RHS case of GMRESBatch.
 func GMRES(a Operator, b []float64, opts GMRESOptions) ([]float64, Stats, error) {
-	opts = opts.withDefaults()
-	n := len(b)
-	ar := newArena(opts.Work, n)
-	x := ar.takeZero()
-	if n == 0 {
-		return x, Stats{Converged: true, StopReason: StopTolerance}, nil
+	xs, stats, errs := GMRESBatch(a, [][]float64{b}, []GMRESOptions{opts})
+	return xs[0], stats[0], errs[0]
+}
+
+// GMRESBatch solves A·x[k] = b[k] for independent right-hand sides in
+// lockstep: every round applies the operator once (MulVecBatch when a
+// implements BatchOperator) and the preconditioner once (ApplyBatch when
+// it implements BatchPreconditioner) to all RHS still iterating, so the
+// kernels' memory traffic and dependency chains are shared across the
+// batch. Everything else is per RHS and taken from opts[k]: the Krylov
+// basis, Hessenberg and Givens state, Tol, MaxIter, Restart, Ctx,
+// Callback, OnIteration, Work and the returned Stats. An RHS that
+// converges, breaks down, hits MaxIter or sees its context end leaves the
+// batch; the rest continue. Each result is Float64bits-equal to GMRES on
+// that RHS alone, because the batched kernels are bit-identical per RHS
+// and each recurrence runs the same operations in the same order.
+//
+// All opts must name the same Precond (nil everywhere means none), and no
+// two may share a Workspace. Results are positional: xs[k], stats[k] and
+// errs[k] belong to bs[k].
+func GMRESBatch(a Operator, bs [][]float64, opts []GMRESOptions) ([][]float64, []Stats, []error) {
+	if len(opts) != len(bs) {
+		panic(fmt.Sprintf("solver: GMRESBatch got %d options for %d right-hand sides", len(opts), len(bs)))
 	}
-	cycle := opts.Restart
-	if cycle <= 0 || cycle > opts.MaxIter {
-		cycle = opts.MaxIter
+	runs := make([]*gmresRun, len(bs))
+	var pre Preconditioner
+	var live []*gmresRun
+	for k, b := range bs {
+		o := opts[k].withDefaults()
+		if k == 0 {
+			pre = o.Precond
+		} else if o.Precond != pre {
+			panic("solver: GMRESBatch right-hand sides must share one preconditioner")
+		}
+		for _, prev := range opts[:k] {
+			if o.Work != nil && prev.Work == o.Work {
+				panic("solver: GMRESBatch right-hand sides must not share a Workspace")
+			}
+		}
+		r := &gmresRun{opts: o, b: b, ar: newArena(o.Work, len(b))}
+		r.x = r.ar.takeZero()
+		runs[k] = r
+		if len(b) == 0 {
+			r.finish(StopTolerance, nil)
+			continue
+		}
+		r.cycle = o.Restart
+		if r.cycle <= 0 || r.cycle > o.MaxIter {
+			r.cycle = o.MaxIter
+		}
+		r.t = r.ar.take()
+		r.scratch = r.ar.take()
+		live = append(live, r)
 	}
 
-	var stats Stats
-	t := ar.take() // M⁻¹ b
-	opts.Precond.Apply(t, b)
-	normT := vec.Norm2(t)
-	if normT == 0 {
-		return x, Stats{Converged: true, StopReason: StopTolerance}, nil
+	// t = M⁻¹b, batched; its norm scales every residual.
+	srcs, dsts := make([][]float64, 0, len(live)), make([][]float64, 0, len(live))
+	for _, r := range live {
+		srcs, dsts = append(srcs, r.b), append(dsts, r.t)
+	}
+	applyBatch(pre, dsts, srcs)
+	for _, r := range live {
+		if r.normT = vec.Norm2(r.t); r.normT == 0 {
+			r.finish(StopTolerance, nil)
+			continue
+		}
+		r.top()
 	}
 
-	scratch := ar.take()
-	for stats.Iterations < opts.MaxIter {
-		if err := opts.ctxErr(); err != nil {
-			return x, stats, fmt.Errorf("solver: aborted after %d iterations: %w", stats.Iterations, err)
-		}
-		// Residual of the current iterate in the preconditioned norm.
-		a.MulVec(scratch, x)
-		vec.Sub(scratch, b, scratch) // b − A·x
-		z := ar.take()
-		opts.Precond.Apply(z, scratch)
-		beta := vec.Norm2(z)
-		stats.Residual = beta / normT
-		if stats.Residual <= opts.Tol {
-			stats.Converged = true
-			stats.StopReason = StopTolerance
-			return x, stats, nil
-		}
-
-		m := cycle
-		if rem := opts.MaxIter - stats.Iterations; m > rem {
-			m = rem
-		}
-		// Arnoldi basis and Hessenberg factorization with Givens updates.
-		v := make([][]float64, 1, m+1)
-		vec.Scale(1/beta, z)
-		v[0] = z
-		h := make([][]float64, 0, m) // h[j] has length j+2
-		cs := make([]float64, 0, m)  // Givens cosines
-		sn := make([]float64, 0, m)  // Givens sines
-		g := make([]float64, 1, m+1) // rotated rhs
-		g[0] = beta
-
-		converged := false
-		steps := 0
-		for j := 0; j < m; j++ {
-			if err := opts.ctxErr(); err != nil {
-				x = assemble(ar, x, v, h, g, steps)
-				return x, stats, fmt.Errorf("solver: aborted after %d iterations: %w", stats.Iterations, err)
-			}
-			w := ar.take()
-			a.MulVec(scratch, v[j])
-			opts.Precond.Apply(w, scratch)
-			// Modified Gram-Schmidt.
-			hj := make([]float64, j+2)
-			for i := 0; i <= j; i++ {
-				hj[i] = vec.Dot(w, v[i])
-				vec.AXPY(-hj[i], v[i], w)
-			}
-			hj[j+1] = vec.Norm2(w)
-			breakdown := hj[j+1] < 1e-300
-			if !breakdown {
-				vec.Scale(1/hj[j+1], w)
-				v = append(v, w)
-			}
-			// Apply accumulated rotations to the new column.
-			for i := 0; i < j; i++ {
-				hj[i], hj[i+1] = cs[i]*hj[i]+sn[i]*hj[i+1], -sn[i]*hj[i]+cs[i]*hj[i+1]
-			}
-			// New rotation to annihilate hj[j+1].
-			c, s := givens(hj[j], hj[j+1])
-			cs, sn = append(cs, c), append(sn, s)
-			hj[j] = c*hj[j] + s*hj[j+1]
-			hj[j+1] = 0
-			h = append(h, hj)
-			g = append(g, -s*g[j])
-			g[j] = c * g[j]
-			stats.Iterations++
-			steps = j + 1
-			stats.Residual = math.Abs(g[j+1]) / normT
-			if opts.OnIteration != nil {
-				opts.OnIteration(stats.Iterations, stats.Residual)
-			}
-			if opts.Callback != nil {
-				xj := assemble(arena{n: n}, x, v, h, g, steps)
-				opts.Callback(stats.Iterations, xj)
-			}
-			if stats.Residual <= opts.Tol || breakdown {
-				converged = true
-				break
+	// Each round serves every pending request — dst = M⁻¹·A·in, or for a
+	// residual M⁻¹·(b − A·in) — and advances each RHS to its next request.
+	for {
+		live = live[:0]
+		for _, r := range runs {
+			if !r.done {
+				live = append(live, r)
 			}
 		}
-		// Update x with the minimizer over the Krylov space built so far.
-		x = assemble(ar, x, v, h, g, steps)
-		if converged {
-			stats.Converged = true
-			if stats.Residual <= opts.Tol {
-				stats.StopReason = StopTolerance
+		if len(live) == 0 {
+			break
+		}
+		srcs, dsts = srcs[:0], dsts[:0]
+		for _, r := range live {
+			srcs, dsts = append(srcs, r.in), append(dsts, r.scratch)
+		}
+		mulVecBatch(a, dsts, srcs)
+		srcs, dsts = srcs[:0], dsts[:0]
+		for _, r := range live {
+			if r.residual {
+				vec.Sub(r.scratch, r.b, r.scratch)
+			}
+			srcs, dsts = append(srcs, r.scratch), append(dsts, r.out)
+		}
+		applyBatch(pre, dsts, srcs)
+		for _, r := range live {
+			if r.residual {
+				r.open(r.out, vec.Norm2(r.out))
 			} else {
-				stats.StopReason = StopBreakdown
+				r.arnoldi(r.out)
 			}
-			return x, stats, nil
 		}
 	}
-	stats.StopReason = StopMaxIter
-	return x, stats, fmt.Errorf("after %d iterations (residual %.3g): %w",
-		stats.Iterations, stats.Residual, ErrNotConverged)
+
+	xs := make([][]float64, len(runs))
+	stats := make([]Stats, len(runs))
+	errs := make([]error, len(runs))
+	for k, r := range runs {
+		xs[k], stats[k], errs[k] = r.x, r.stats, r.err
+	}
+	return xs, stats, errs
+}
+
+// gmresRun is one right-hand side's restarted, left-preconditioned GMRES
+// recurrence, written as a state machine so GMRESBatch can serve the
+// kernel applications of many runs together. Between rounds a live run
+// has exactly one pending request: out = M⁻¹·A·in for an Arnoldi step, or
+// out = M⁻¹·(b − A·in) for the residual that opens a restart cycle.
+type gmresRun struct {
+	opts  GMRESOptions
+	b     []float64
+	ar    arena
+	x     []float64
+	t     []float64 // M⁻¹b until the first cycle consumes it
+	normT float64
+	cycle int
+	stats Stats
+	err   error
+	done  bool
+
+	in, scratch, out []float64
+	residual         bool
+
+	// The open cycle: Arnoldi basis, Hessenberg columns (h[j] has length
+	// j+2) reduced by Givens rotations (cs, sn), the rotated right-hand
+	// side g, the cycle length m and the current step j.
+	v, h      [][]float64
+	cs, sn, g []float64
+	m, j      int
+}
+
+func (r *gmresRun) finish(reason StopReason, err error) {
+	r.done = true
+	r.stats.StopReason = reason
+	r.stats.Converged = err == nil
+	r.err = err
+}
+
+func (r *gmresRun) request(in []float64, residual bool) {
+	r.in, r.residual, r.out = in, residual, r.ar.take()
+}
+
+// top starts an outer cycle: it stops on the iteration limit or a done
+// context, and otherwise asks for the residual of x. At the zero start
+// that residual is t itself — S·0 is +0 and b − (+0) is b bit for bit — so
+// the first cycle opens on t without applying either kernel.
+func (r *gmresRun) top() {
+	if r.stats.Iterations >= r.opts.MaxIter {
+		r.finish(StopMaxIter, fmt.Errorf("after %d iterations (residual %.3g): %w",
+			r.stats.Iterations, r.stats.Residual, ErrNotConverged))
+		return
+	}
+	if err := r.opts.ctxErr(); err != nil {
+		r.finish(StopNone, fmt.Errorf("solver: aborted after %d iterations: %w", r.stats.Iterations, err))
+		return
+	}
+	if t := r.t; t != nil {
+		r.t = nil
+		r.open(t, r.normT)
+		return
+	}
+	r.request(r.x, true)
+}
+
+// open takes the residual z = M⁻¹(b − A·x) of norm beta and either stops
+// on it or opens an Arnoldi cycle with v₀ = z/beta.
+func (r *gmresRun) open(z []float64, beta float64) {
+	r.stats.Residual = beta / r.normT
+	if r.stats.Residual <= r.opts.Tol {
+		r.finish(StopTolerance, nil)
+		return
+	}
+	m := r.cycle
+	if rem := r.opts.MaxIter - r.stats.Iterations; m > rem {
+		m = rem
+	}
+	vec.Scale(1/beta, z)
+	r.v = make([][]float64, 1, m+1)
+	r.v[0] = z
+	r.h = make([][]float64, 0, m)
+	r.cs = make([]float64, 0, m)
+	r.sn = make([]float64, 0, m)
+	r.g = make([]float64, 1, m+1)
+	r.g[0] = beta
+	r.m, r.j = m, 0
+	r.step()
+}
+
+// step begins Arnoldi step j: a done context ends the solve with the
+// iterate assembled so far; otherwise it asks for M⁻¹·A·v[j].
+func (r *gmresRun) step() {
+	if err := r.opts.ctxErr(); err != nil {
+		r.x = assemble(r.ar, r.x, r.v, r.h, r.g, r.j)
+		r.finish(StopNone, fmt.Errorf("solver: aborted after %d iterations: %w", r.stats.Iterations, err))
+		return
+	}
+	r.request(r.v[r.j], false)
+}
+
+// arnoldi completes step j with w = M⁻¹·A·v[j]: modified Gram-Schmidt, the
+// Givens update of the Hessenberg column, and the stopping rule. A cycle
+// that ends folds its minimizer into x and restarts.
+func (r *gmresRun) arnoldi(w []float64) {
+	j := r.j
+	hj := make([]float64, j+2)
+	for i := 0; i <= j; i++ {
+		hj[i] = vec.Dot(w, r.v[i])
+		vec.AXPY(-hj[i], r.v[i], w)
+	}
+	hj[j+1] = vec.Norm2(w)
+	breakdown := hj[j+1] < 1e-300
+	if !breakdown {
+		vec.Scale(1/hj[j+1], w)
+		r.v = append(r.v, w)
+	}
+	// Apply accumulated rotations to the new column.
+	for i := 0; i < j; i++ {
+		hj[i], hj[i+1] = r.cs[i]*hj[i]+r.sn[i]*hj[i+1], -r.sn[i]*hj[i]+r.cs[i]*hj[i+1]
+	}
+	// New rotation to annihilate hj[j+1].
+	c, s := givens(hj[j], hj[j+1])
+	r.cs, r.sn = append(r.cs, c), append(r.sn, s)
+	hj[j] = c*hj[j] + s*hj[j+1]
+	hj[j+1] = 0
+	r.h = append(r.h, hj)
+	r.g = append(r.g, -s*r.g[j])
+	r.g[j] = c * r.g[j]
+	r.stats.Iterations++
+	r.stats.Residual = math.Abs(r.g[j+1]) / r.normT
+	if r.opts.OnIteration != nil {
+		r.opts.OnIteration(r.stats.Iterations, r.stats.Residual)
+	}
+	if r.opts.Callback != nil {
+		r.opts.Callback(r.stats.Iterations, assemble(arena{n: len(r.b)}, r.x, r.v, r.h, r.g, j+1))
+	}
+	converged := r.stats.Residual <= r.opts.Tol
+	if !converged && !breakdown && j+1 < r.m {
+		r.j++
+		r.step()
+		return
+	}
+	// Update x with the minimizer over the Krylov space built so far.
+	r.x = assemble(r.ar, r.x, r.v, r.h, r.g, j+1)
+	switch {
+	case converged:
+		r.finish(StopTolerance, nil)
+	case breakdown:
+		r.finish(StopBreakdown, nil)
+	default:
+		r.top()
+	}
 }
 
 // assemble returns x + V·y where R·y = g is the triangular least-squares
